@@ -1,0 +1,1 @@
+"""Survey-fleet benchmark harness (see README.md in this directory)."""
