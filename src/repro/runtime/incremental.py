@@ -13,12 +13,15 @@ cross-tick invariants instead:
   under full conditioning, decoder) value projection of a row is a
   degenerate ``(…, 1) @ (1, d)`` map that never changes once the row
   arrives, so it is computed once per row into its own mirrored ring;
-* **memoized time embeddings** — shared with the full path through
-  :class:`~repro.runtime.plans.TimeEmbeddingPlan`; a steady cadence hits
-  the memo every tick;
-* **token-keyed decoder stages** — the masked-mode decoder input is a pure
-  time embedding, so its self stage, variate expansion and cross-attention
-  query are all cached against the embedding's memo token;
+* **one timeline stage per tick** — every stack shares the exposure
+  timeline, and the time embeddings depend on nothing else (nor, under
+  masked conditioning, does the decoder input), so the encoder and decoder
+  time embeddings, the first decoder layer's self stage and its
+  cross-attention query run once per tick at batch 1 and broadcast over
+  the ``S·N`` folded sequences.  Their cost no longer grows with the fleet,
+  and the memos they share with the full path
+  (:class:`~repro.runtime.plans.TimeEmbeddingPlan`, the decoder self-stage
+  memo) hold batch-1 entries, which a steady cadence hits every tick;
 * **frozen GCN graph inputs** — the ``static`` graph's degree-normalized
   adjacency is a constant of the fleet geometry and is built once per state
   (re)build.
@@ -47,8 +50,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from . import ops
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for type checkers
     from .plans import (
@@ -208,8 +209,10 @@ def _ws_ffn(arena: ScratchArena, name: str, ffn: "FeedForwardPlan", x):
 
 
 def _ws_attend(arena: ScratchArena, name: str, attention: "AttentionPlan", q, k, v):
-    batch, heads, length, d_head = q.shape
-    keys = k.shape[2]
+    # The batch comes from the keys: a batch-1 query (the shared decoder
+    # stage) broadcasts over every folded sequence's memory.
+    _, heads, length, d_head = q.shape
+    batch, _, keys, _ = k.shape
     scores = arena.get(name + ".scores", (batch, heads, length, keys), attention.wq.dtype)
     np.matmul(q, k.swapaxes(-1, -2), out=scores)
     np.multiply(scores, attention.scale, out=scores)
@@ -239,12 +242,9 @@ def _ws_self_attention(arena: ScratchArena, name: str, attention: "AttentionPlan
     )
 
 
-def _ws_cross_attention(arena: ScratchArena, name: str, attention: "AttentionPlan", x, memory, cached_q=None):
+def _ws_cross_attention(arena: ScratchArena, name: str, attention: "AttentionPlan", x, memory):
     batch, keys, d_model = memory.shape
-    if cached_q is None:
-        q = _ws_linear(arena, name + ".q", x, attention.wq, attention.bq)
-    else:
-        q = cached_q
+    q = _ws_linear(arena, name + ".q", x, attention.wq, attention.bq)
     kv = arena.get(name + ".kv", (2, batch, keys, d_model), attention.wq.dtype)
     np.matmul(memory[None], attention.wkv[:, None], out=kv)
     np.add(kv, attention.bkv, out=kv)
@@ -271,8 +271,8 @@ def _ws_self_stage(arena: ScratchArena, name: str, layer: "DecoderLayerPlan", x)
     return _ws_layer_norm(arena, name + ".n1", layer.norm1, attended)
 
 
-def _ws_cross_stage(arena: ScratchArena, name: str, layer: "DecoderLayerPlan", x, memory, cached_q=None):
-    cross = _ws_cross_attention(arena, name + ".ca", layer.cross_attention, x, memory, cached_q)
+def _ws_cross_stage(arena: ScratchArena, name: str, layer: "DecoderLayerPlan", x, memory):
+    cross = _ws_cross_attention(arena, name + ".ca", layer.cross_attention, x, memory)
     np.add(x, cross, out=cross)
     x = _ws_layer_norm(arena, name + ".n2", layer.norm2, cross)
     transformed = _ws_ffn(arena, name + ".ff", layer.feed_forward, x)
@@ -290,9 +290,9 @@ def _ws_decoder_layer(arena: ScratchArena, name: str, layer: "DecoderLayerPlan",
 class IncrementalState:
     """Per-fleet cross-tick serving state for one :class:`CompiledModel`.
 
-    Holds the mirrored ring buffers, per-row embedding rings, token-keyed
-    decoder caches, frozen graph inputs and the scratch arena for
-    ``num_stacks`` star stacks of the model's geometry.  Built through
+    Holds the mirrored ring buffers, per-row embedding rings, frozen graph
+    inputs and the scratch arena for ``num_stacks`` star stacks of the
+    model's geometry.  Built through
     :meth:`repro.runtime.CompiledDetector.new_incremental_state`.
 
     Lifecycle: a fresh state is *invalid* (it has no history); a front
@@ -302,9 +302,6 @@ class IncrementalState:
     :meth:`invalidate` (or any event that breaks ring/buffer lockstep, e.g.
     a model hot-swap) forces the next tick through :meth:`rebuild` again.
     """
-
-    #: Bound on the token-keyed expanded-compact / cross-query caches.
-    MAX_STAGE_CACHE = 8
 
     def __init__(self, model: "CompiledModel", config, num_stacks: int, layout: str = "stack"):
         if num_stacks <= 0:
@@ -375,9 +372,7 @@ class IncrementalState:
         self._times = np.empty(mirror, dtype=np.float64)
         self.times_mode: str | None = None  # "real" | "default", locked on first use
 
-        # Cross-tick caches -------------------------------------------------
-        self._expand_cache: dict[int, np.ndarray] = {}
-        self._crossq_cache: dict[int, np.ndarray] = {}
+        # Frozen graph inputs -----------------------------------------------
         self._static_norm: np.ndarray | None = None
         self._static_last: np.ndarray | None = None
 
@@ -476,8 +471,8 @@ class IncrementalState:
 
         ``times`` is the shared ``(W,)`` exposure timeline (``None`` locks
         the state to the default index cadence).  Rebuilding resets the
-        validity flag and the timestamp mode; cross-tick caches carry over
-        (they key on content, not position).
+        validity flag and the timestamp mode; the frozen graph inputs carry
+        over (they depend on the fleet geometry only).
         """
         stack = np.asarray(stack, dtype=np.float64)
         expected = (self.num_stacks, self.window, self.num_variates)
@@ -551,42 +546,8 @@ class IncrementalState:
         return self._features[:, begin : j + self.window].transpose(0, 2, 1)
 
     # ------------------------------------------------------------------
-    # cross-tick caches
+    # frozen graph inputs
     # ------------------------------------------------------------------
-    def _stage_cache_put(self, cache: dict, token: int, value: np.ndarray) -> np.ndarray:
-        value.flags.writeable = False
-        if len(cache) >= self.MAX_STAGE_CACHE:
-            del cache[next(iter(cache))]
-        cache[token] = value
-        return value
-
-    def expanded_compact(self, compact: np.ndarray, token: int | None) -> np.ndarray:
-        """``np.repeat`` of the memoized decoder self stage across variates."""
-        if token is None:
-            return np.repeat(compact, self.num_variates, axis=0)
-        cached = self._expand_cache.get(token)
-        if cached is None:
-            cached = self._stage_cache_put(
-                self._expand_cache, token, np.repeat(compact, self.num_variates, axis=0)
-            )
-        return cached
-
-    def cross_query(self, attention: "AttentionPlan", x: np.ndarray, token: int | None):
-        """The first decoder layer's cross-attention query for input ``x``.
-
-        The masked-mode decoder input is a function of the time embedding
-        alone, so its Q projection is cached against the embedding token;
-        ``None`` (uncached embedding) computes the query in the workspace.
-        """
-        if token is None:
-            return None
-        cached = self._crossq_cache.get(token)
-        if cached is None:
-            cached = self._stage_cache_put(
-                self._crossq_cache, token, ops.linear(x, attention.wq, attention.bq)
-            )
-        return cached
-
     def static_adjacency(self, plan: "NoisePlan") -> np.ndarray:
         """The degree-normalized all-ones adjacency of the static graph.
 
@@ -677,6 +638,13 @@ def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
     same operand order — reading the window from the state rings and the
     per-row value embeddings from their caches.  Returns the
     ``(num_stacks, N, omega)`` reconstruction (a workspace view).
+
+    Every stack shares the one exposure timeline, so the timeline-only
+    stages — both time embeddings and, under masked conditioning, the first
+    decoder layer's self stage and cross-attention query — run once at
+    batch 1 and broadcast over the folded sequences.  Broadcasting repeats
+    operands, never reorders arithmetic, so every output element sees the
+    same ufunc/GEMM sequence as the per-stack full forward.
     """
     arena = state.arena
     stacks = state.num_stacks
@@ -688,10 +656,9 @@ def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
     masked = plan.conditioning == "masked"
 
     if state.times_mode == "real":
-        long_times = arena.get("times.long", (stacks, window), np.float64)
-        long_times[:] = state._times[j : j + window][None, :]
+        long_times = state._times[None, j : j + window]
     else:
-        long_times = plan._default_long_times(stacks, window)
+        long_times = plan._default_long_times(1, window)
     short_times = long_times[:, context:]
 
     # -- encoder input ---------------------------------------------------
@@ -725,20 +692,11 @@ def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
         )
         if plan.decoder_layers:
             compact = plan._decoder_self_stage(decoder_time, decoder_token)
-            if plan.multivariate_input:
-                staged = compact
-            else:
-                staged = state.expanded_compact(compact, decoder_token)
-            query = state.cross_query(
-                plan.decoder_layers[0].cross_attention, staged, decoder_token
-            )
-            decoded = _ws_cross_stage(
-                arena, "dec0", plan.decoder_layers[0], staged, memory, cached_q=query
-            )
+            decoded = _ws_cross_stage(arena, "dec0", plan.decoder_layers[0], compact, memory)
             for index, layer in enumerate(plan.decoder_layers[1:], start=1):
                 decoded = _ws_decoder_layer(arena, f"dec{index}", layer, decoded, memory)
         else:
-            decoded = plan._expand_time(decoder_time, variates)
+            decoded = np.broadcast_to(decoder_time, (len(memory),) + decoder_time.shape[1:])
     else:
         decoder_time = plan.time_embedding(short_times, position_offset=context)
         if plan.multivariate_input:

@@ -226,10 +226,9 @@ class TimeEmbeddingPlan:
 
     Each cached embedding additionally carries a *token* — a monotonically
     increasing integer minted when the entry is first inserted.  Tokens are
-    never reused, so downstream caches (the decoder self-stage memo, the
-    incremental state's expanded/query caches) can key on them safely:
-    unlike ``id()``, a token cannot alias a different array allocated later
-    at a recycled address.
+    never reused, so downstream caches (the decoder self-stage memo) can key
+    on them safely: unlike ``id()``, a token cannot alias a different array
+    allocated later at a recycled address.
     """
 
     __slots__ = ("frequencies", "alpha", "dtype", "_cache", "_cache_bytes", "_next_token")
@@ -510,23 +509,6 @@ class TemporalPlan:
 
     __call__ = forward
 
-    # ------------------------------------------------------------------
-    def forward_incremental(self, state, new_row: np.ndarray | None = None) -> np.ndarray:
-        """One-tick reconstruction over ``state``'s current ring window.
-
-        ``state`` is a :class:`repro.runtime.incremental.IncrementalState`
-        whose rings hold the serving window; ``new_row`` (scaled ``(S, N)``)
-        is appended first when given.  Cross-tick caches (per-row value
-        embeddings, memoized time embeddings, token-keyed decoder stages)
-        make the per-tick cost sub-window while the float64 output stays
-        bit-for-bit equal to :meth:`forward` on the same window.
-        """
-        from .incremental import temporal_step
-
-        if new_row is not None:
-            state.append(new_row)
-        return temporal_step(self, state)
-
 
 class NoisePlan:
     """Fused forward plan for the concurrent-noise reconstruction module.
@@ -642,20 +624,6 @@ class NoisePlan:
         return out
 
     __call__ = forward
-
-    # ------------------------------------------------------------------
-    def forward_incremental(self, state, errors: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """One-tick GCN propagation using ``state``'s cached graph inputs.
-
-        In ``static`` mode the degree-normalized adjacency is a constant of
-        the fleet geometry, so it is computed once per state (re)build and
-        reused every tick; ``window``/``dynamic`` adjacencies depend on this
-        tick's errors and are recomputed exactly as :meth:`forward` does.
-        Float64 output is bit-for-bit equal to :meth:`forward`.
-        """
-        from .incremental import noise_step
-
-        return noise_step(self, state, errors, target)
 
 
 @dataclass

@@ -518,6 +518,8 @@ class FleetManager:
                 f"rows must have shape ({self.num_shards}, {self.num_variates}), got {rows.shape}"
             )
         with self._tracer.span("fleet.ingest"):
+            # Resolved first: a rejected timestamp must leave the fleet untouched.
+            times = self._timeline.resolve(1, None if timestamp is None else [timestamp])
             missing = ~np.isfinite(rows)
             any_missing = bool(missing.any())
             masked = missing
@@ -561,7 +563,6 @@ class FleetManager:
             if any_missing:
                 self._missing_total += missing.sum(axis=1)
             scaled = self._scaler.transform(rows)
-            times = self._timeline.resolve(1, None if timestamp is None else [timestamp])
             self._timeline.append(times[0])
 
             window = self.config.window

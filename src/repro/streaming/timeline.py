@@ -80,31 +80,39 @@ class StreamTimeline:
 
         The returned values must then be fed back through :meth:`append` as
         their rows are ingested (keeping the ring in lock-step with the
-        value buffer).
+        value buffer).  Invalid timestamps — a wrong count or a non-finite
+        value in real mode — raise before anything changes, so a corrected
+        retry serves exactly as if the bad call never happened.
         """
-        if self._mode is None:
-            if timestamps is not None and self._has_real:
-                self._mode = "real"
-                seed = self._tail_times if self._tail_times is not None else ()
-            else:
-                self._mode = "index"
-                seed = range(self._context_length)
-            for value in seed:
-                self._times.append(float(value))
-        if self._mode == "real":
+        mode = self._mode
+        if mode is None:
+            mode = "real" if timestamps is not None and self._has_real else "index"
+        if mode == "real":
             if timestamps is None:
                 raise ValueError("this stream was started with real timestamps; keep providing them")
             times = np.asarray(timestamps, dtype=np.float64).reshape(-1)
             if times.shape != (count,):
                 raise ValueError(f"expected {count} timestamps, got {times.shape}")
+            if not np.isfinite(times).all():
+                # One NaN time would enter every window for the next W ticks
+                # and blank the whole fleet's scores.
+                raise ValueError(f"timestamps must be finite, got {times}")
+        elif timestamps is not None and self._has_real:
+            raise ValueError(
+                "this stream was started without timestamps; cannot switch to real timestamps mid-stream"
+            )
         else:
-            if timestamps is not None and self._has_real:
-                raise ValueError(
-                    "this stream was started without timestamps; cannot switch to real timestamps mid-stream"
-                )
             # Real times were never usable (no tail timestamps): ignore the
             # caller's values, exactly as the batch path does.
             times = np.arange(self._next_index, self._next_index + count, dtype=np.float64)
+        if self._mode is None:
+            self._mode = mode
+            if mode == "real":
+                seed = self._tail_times if self._tail_times is not None else ()
+            else:
+                seed = range(self._context_length)
+            for value in seed:
+                self._times.append(float(value))
         self._next_index += count
         return times
 

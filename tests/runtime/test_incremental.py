@@ -17,6 +17,7 @@ import pytest
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
 from repro.runtime import compile_detector
+from repro.runtime.plans import TimeEmbeddingPlan
 
 NUM_VARIATES = 5
 WINDOW = 16
@@ -266,6 +267,42 @@ class TestTimeEmbeddingMemo:
         assert embedding_b is embedding_a
         _, token_c = te.embed(times, position_offset=4)
         assert token_c != token_a
+
+
+class TestSharedTimelineStages:
+    def test_memos_do_not_grow_with_stack_count(self, fitted_variants):
+        """The timeline-only stages run once per tick at batch 1.
+
+        Every stack shares the exposure timeline, so on a jittered cadence
+        (a fresh memo key every tick) the time-embedding memo and the
+        decoder self-stage memo must fill with batch-1 entries whatever the
+        fleet size — not with ``(S, ., d)`` entries that are never read
+        again.
+        """
+        detector = fitted_variants["full"]
+        ticks = TimeEmbeddingPlan.MAX_CACHE + 8
+        rng = np.random.default_rng(23)
+        times = np.cumsum(0.8 + 0.4 * rng.random(WINDOW + ticks))
+        memos = {}
+        for stacks in (2, 8):
+            compiled = compile_detector(detector)
+            scaled = compiled.scaler.transform(
+                _make_series(WINDOW + ticks + stacks, NUM_VARIATES, seed=13)
+            )
+            state = compiled.new_incremental_state(stacks)
+            state.rebuild(
+                np.stack([scaled[i : i + WINDOW] for i in range(stacks)]), times[:WINDOW]
+            )
+            for k in range(ticks):
+                rows = np.stack([scaled[WINDOW + k + i] for i in range(stacks)])
+                compiled.score_stack_step(state, rows, float(times[WINDOW + k]))
+            plan = compiled.model.temporal
+            embeddings = [entry for _, entry in plan.time_embedding._cache.values()]
+            stages = list(plan._self_stage_cache.values())
+            assert embeddings and stages
+            assert all(entry.shape[0] == 1 for entry in embeddings + stages)
+            memos[stacks] = (plan.time_embedding._cache_bytes, len(stages))
+        assert memos[2] == memos[8]
 
 
 class TestDecoderSelfStageCache:

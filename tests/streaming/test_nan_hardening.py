@@ -16,6 +16,7 @@ from repro.streaming import (
     StreamingService,
     VectorizedIncrementalPOT,
 )
+from repro.streaming.timeline import StreamTimeline
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,83 @@ class TestFleetNaN:
         detector, _ = fitted
         with pytest.raises(ValueError):
             FleetManager(detector, num_shards=1, rearm_min_gap=-1)
+
+
+class TestNonFiniteTimestamps:
+    """One bad exposure time must be rejected, not blank the fleet.
+
+    A NaN time entering the timeline ring would reach every window for the
+    next ``W`` ticks and turn every star's score NaN.  The fronts reject it
+    before touching any state, so a finite retry serves bit-identically to
+    a front that never saw the bad call.
+    """
+
+    @staticmethod
+    def _times(count: int) -> np.ndarray:
+        rng = np.random.default_rng(5)
+        return 100.0 + np.cumsum(0.5 + rng.random(count))
+
+    @pytest.mark.parametrize("backend", ["compiled", "incremental"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("first", [False, True])
+    def test_fleet_rejects_and_retry_is_bit_identical(self, fitted, backend, bad, first):
+        # ``first``: the very first call must not lock the timestamp mode.
+        detector, dataset = fitted
+        window = detector.config.window
+        fleets = [
+            FleetManager(
+                detector, num_shards=2, seed_context=False, backend=backend,
+                threshold_mode="per_star",
+            )
+            for _ in range(2)
+        ]
+        ticks = 2 * window + 6
+        times = self._times(ticks)
+        rows = np.stack([dataset.test[:ticks], dataset.test[1 : ticks + 1]], axis=1)
+        bad_tick = 0 if first else window + 4
+        for tick in range(ticks):
+            if tick == bad_tick:
+                with pytest.raises(ValueError, match="finite"):
+                    fleets[0].step(rows[tick], bad)
+            mine, theirs = (fleet.step(rows[tick], times[tick]) for fleet in fleets)
+            np.testing.assert_array_equal(mine.scores, theirs.scores)
+            np.testing.assert_array_equal(mine.labels, theirs.labels)
+            np.testing.assert_array_equal(mine.thresholds, theirs.thresholds)
+            assert mine.step == theirs.step
+            if tick >= window - 1:
+                assert np.isfinite(mine.scores).all()
+
+    def test_rejected_first_call_leaves_the_mode_unlocked(self):
+        timeline = StreamTimeline(8, None, 0)
+        with pytest.raises(ValueError, match="finite"):
+            timeline.resolve(1, [np.nan])
+        assert timeline.mode is None
+        # A front that never saw the bad call may still choose index mode.
+        np.testing.assert_array_equal(timeline.resolve(1, None), [0.0])
+        assert timeline.mode == "index"
+
+    @pytest.mark.parametrize("backend", [None, "incremental"])
+    def test_stream_rejects_and_retry_is_bit_identical(self, fitted, backend):
+        detector, dataset = fitted
+        window = detector.config.window
+        streams = [
+            StreamingDetector(detector, seed_context=False, backend=backend) for _ in range(2)
+        ]
+        ticks = 2 * window + 6
+        times = self._times(ticks)
+        bad_tick = window + 4
+        for tick in range(ticks):
+            if tick == bad_tick:
+                with pytest.raises(ValueError, match="finite"):
+                    streams[0].step(dataset.test[tick], np.nan)
+                with pytest.raises(ValueError, match="finite"):
+                    streams[0].step_many(
+                        dataset.test[tick : tick + 2], [times[tick], np.nan]
+                    )
+            mine, theirs = (stream.step(dataset.test[tick], times[tick]) for stream in streams)
+            np.testing.assert_array_equal(mine.scores, theirs.scores)
+            if tick >= window - 1:
+                assert np.isfinite(mine.scores).all()
 
 
 class _CountingFleet:
