@@ -1,9 +1,11 @@
 """Benchmark R1 — compiled inference runtime vs the autograd forward path.
 
 Serving scenario: every exposure tick delivers one fresh window per star
-shard, and each window is scored individually through the autograd model —
-the PR-1 single-window serving cost (``AeroDetector.score_windows`` with
-batch 1, exactly what a per-shard ``StreamingDetector`` pays per step).
+shard, and each window is scored individually through the autograd model
+forward (``detector.model(...)`` with batch 1) — the single-window serving
+cost before the compiled runtime, when a per-shard ``StreamingDetector``
+stepped the autograd model.  Autograd now serves training and the test
+oracle only, so the baseline calls the model directly.
 
 The compiled runtime (:mod:`repro.runtime`) attacks that cost twice:
 
@@ -93,7 +95,7 @@ def _run_serving_comparison():
     # --- autograd: one Tensor-graph forward per window ---------------------
     autograd_seconds, autograd_scores = best_of(
         lambda: serve(
-            lambda long, short_w: detector.score_windows(long, short_w, backend="autograd")
+            lambda long, short_w: detector.model(long, short_w).scores
         )
     )
     # --- compiled, same single-window calls (bit-equal) --------------------

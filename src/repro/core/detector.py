@@ -7,7 +7,8 @@
 * the two-stage offline training of :class:`~repro.core.trainer.AeroTrainer`;
 * online scoring with a stride-1 sliding window: the anomaly score of star
   ``n`` at time ``t`` is ``| y - y_hat_1 - y_hat_2 |`` at the last timestamp
-  of the window ending at ``t`` (Eq. 17);
+  of the window ending at ``t`` (Eq. 17), computed on the tape-free plans
+  of :mod:`repro.runtime` (the autograd forward serves training only);
 * automatic thresholding with POT and point-wise labels (Eq. 18).
 
 Typical usage::
@@ -50,9 +51,9 @@ def sliding_window_scores(
 
     Owns the full batch-scoring contract in one place — context stitching,
     timestamp alignment, micro-batch grouping, score placement by window
-    end index, and the conservative early-point backfill — so the autograd
-    path (:meth:`AeroDetector.score`) and the compiled runtime
-    (:meth:`repro.runtime.CompiledDetector.score`) cannot drift apart.
+    end index, and the conservative early-point backfill — so
+    :meth:`AeroDetector.score`, :meth:`repro.runtime.CompiledDetector.score`
+    and the autograd test oracle cannot drift apart.
 
     Parameters
     ----------
@@ -120,8 +121,6 @@ class DetectionReport:
 class AeroDetector:
     """Unsupervised anomaly detector for astronomical multivariate time series."""
 
-    BACKENDS = ("autograd", "compiled")
-
     def __init__(
         self,
         config: AeroConfig | None = None,
@@ -131,10 +130,7 @@ class AeroDetector:
         use_short_window: bool = True,
         graph_mode: str = "window",
         verbose: bool = False,
-        backend: str = "autograd",
     ):
-        if backend not in self.BACKENDS:
-            raise ValueError(f"backend must be one of {self.BACKENDS}, got {backend!r}")
         self.config = config or AeroConfig()
         self.use_temporal = use_temporal
         self.use_noise_module = use_noise_module
@@ -142,7 +138,6 @@ class AeroDetector:
         self.use_short_window = use_short_window
         self.graph_mode = graph_mode
         self.verbose = verbose
-        self.backend = backend
 
         self.model: AeroModel | None = None
         self.scaler: MinMaxScaler | None = None
@@ -158,18 +153,13 @@ class AeroDetector:
             raise RuntimeError("the detector must be fitted before scoring")
         return self.model
 
-    def _resolve_backend(self, backend: str | None) -> str:
-        backend = backend if backend is not None else self.backend
-        if backend not in self.BACKENDS:
-            raise ValueError(f"backend must be one of {self.BACKENDS}, got {backend!r}")
-        return backend
-
     def compile(self, dtype="float64"):
         """Freeze this fitted detector into a tape-free :class:`CompiledDetector`.
 
         The compiled artifact (see :mod:`repro.runtime`) scores with raw
-        ndarray plans — bit-for-bit equal to the autograd path in float64 —
-        and is cached per dtype; ``fit()`` invalidates the cache.
+        ndarray plans — bit-for-bit equal to :meth:`score` in float64 — and
+        is cached per dtype; ``fit()`` invalidates the cache.  Serving fronts
+        share it; :meth:`score` does not (see :meth:`_with_live_plan`).
         """
         from ..runtime import compile_detector
 
@@ -266,6 +256,26 @@ class AeroDetector:
         return self
 
     # ------------------------------------------------------------------
+    def _with_live_plan(self, run):
+        """Run ``run(plan)`` on float64 plans compiled from the live model.
+
+        The single inference engine of the batch entry points.  The plans
+        are rebuilt on every call (a fraction of a millisecond, no POT
+        calibration), which keeps eager semantics: in-place edits of the
+        model's weights are seen, a dynamic-graph pass starts from a fresh
+        smoothed adjacency without touching the state a live stream or the
+        cached :meth:`compile` engine carries, and :meth:`learned_graph`
+        reports the last window scored here.
+        """
+        from ..runtime import compile_model
+
+        model = self._require_fitted()
+        plan = compile_model(model)
+        result = run(plan)
+        if model.noise is not None and plan.noise.last_adjacency is not None:
+            model.noise.last_adjacency = plan.noise.last_adjacency
+        return result
+
     def _score_scaled(
         self,
         scaled: np.ndarray,
@@ -273,16 +283,17 @@ class AeroDetector:
         prepend_context: bool,
     ) -> np.ndarray:
         """Score an already-normalized series; returns ``(T, N)`` anomaly scores."""
-        model = self._require_fitted()
-        if model.noise is not None and model.noise.graph_mode == "dynamic":
-            model.noise.reset_dynamic_state()
-        return sliding_window_scores(
-            lambda batch: model(batch.long, batch.short, batch.long_times, batch.short_times).scores,
-            self.config,
-            scaled,
-            timestamps,
-            self._train_tail if prepend_context else None,
-            self._train_tail_times if prepend_context else None,
+        return self._with_live_plan(
+            lambda plan: sliding_window_scores(
+                lambda batch: plan.scores(
+                    batch.long, batch.short, batch.long_times, batch.short_times
+                ),
+                self.config,
+                scaled,
+                timestamps,
+                self._train_tail if prepend_context else None,
+                self._train_tail_times if prepend_context else None,
+            )
         )
 
     def score_windows(
@@ -291,22 +302,16 @@ class AeroDetector:
         short_windows: np.ndarray,
         long_times: np.ndarray | None = None,
         short_times: np.ndarray | None = None,
-        backend: str | None = None,
     ) -> np.ndarray:
         """Score a batch of already-normalised windows; returns ``(batch, N)``.
 
         This is the reusable single-step core of Algorithm 2: one forward
         pass over explicit ``(batch, N, W)`` long windows and ``(batch, N,
-        omega)`` short windows, with no re-windowing of the full series.  The
-        streaming subsystem (:mod:`repro.streaming`) builds its incremental
-        path on top of this method.  With ``backend="compiled"`` the forward
-        pass runs on the tape-free plans of :mod:`repro.runtime`.
+        omega)`` short windows, with no re-windowing of the full series.
         """
-        model = self._require_fitted()
-        if self._resolve_backend(backend) == "compiled":
-            return self.compile().score_windows(long_windows, short_windows, long_times, short_times)
-        result = model(long_windows, short_windows, long_times, short_times)
-        return result.scores
+        return self._with_live_plan(
+            lambda plan: plan.scores(long_windows, short_windows, long_times, short_times)
+        )
 
     def window_context(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The scaled training tail (and its timestamps) used as scoring context.
@@ -328,18 +333,13 @@ class AeroDetector:
         self,
         series: np.ndarray,
         timestamps: np.ndarray | None = None,
-        backend: str | None = None,
     ) -> np.ndarray:
         """Anomaly scores for every point of ``series`` (shape ``(T, N)``).
 
-        ``backend`` selects the execution engine: ``"autograd"`` runs the
-        :class:`AeroModel` forward pass, ``"compiled"`` the tape-free plans
-        of :mod:`repro.runtime` (bit-for-bit identical scores in float64);
-        ``None`` uses the detector's default backend.
+        Runs on tape-free float64 plans of the live model — bit-for-bit the
+        scores of the :class:`AeroModel` autograd forward.
         """
         self._require_fitted()
-        if self._resolve_backend(backend) == "compiled":
-            return self.compile().score(series, timestamps)
         series = np.asarray(series, dtype=np.float64)
         if series.ndim != 2:
             raise ValueError("series must be 2-D (time, variates)")
@@ -357,10 +357,9 @@ class AeroDetector:
         self,
         series: np.ndarray,
         timestamps: np.ndarray | None = None,
-        backend: str | None = None,
     ) -> np.ndarray:
         """Binary anomaly labels ``O_t`` for every point of ``series``."""
-        scores = self.score(series, timestamps, backend=backend)
+        scores = self.score(series, timestamps)
         return (scores >= self.threshold()).astype(np.int64)
 
     def evaluate(
@@ -418,7 +417,6 @@ class AeroDetector:
                 "multivariate_input": self.multivariate_input,
                 "use_short_window": self.use_short_window,
                 "graph_mode": self.graph_mode,
-                "backend": self.backend,
             },
             "num_variates": model.num_variates,
         }
@@ -486,7 +484,11 @@ class AeroDetector:
             raise ValueError(f"checkpoint {path} is incomplete: missing {missing}")
 
         config = AeroConfig(**meta["config"])
-        detector = cls(config=config, **meta["detector"])
+        flags = dict(meta["detector"])
+        # Checkpoints written before scoring moved onto the compiled plans
+        # also record the serving backend they defaulted to; it is moot now.
+        flags.pop("backend", None)
+        detector = cls(config=config, **flags)
         detector.scaler = MinMaxScaler(
             feature_range=tuple(arrays["scaler.feature_range"].tolist()),
             eps=float(arrays["scaler.eps"]),
@@ -557,7 +559,7 @@ class AeroDetector:
 
     # ------------------------------------------------------------------
     def learned_graph(self) -> np.ndarray | None:
-        """The most recent window-wise adjacency matrix (for Fig. 8 analysis)."""
+        """The adjacency of the last window scored (or trained on), for Fig. 8 analysis."""
         model = self._require_fitted()
         if model.noise is None:
             return None

@@ -23,10 +23,12 @@ Entry points::
     compiled32 = compile_detector(detector, dtype="float32")
     scores = compiled.score(test_series)             # == detector.score(...)
 
-or, through the detector itself::
+The detector's own batch entry points (``score``/``detect``/
+``score_windows``) run on plans compiled from its live model per call, and
+its serving fronts on the cached :meth:`~repro.core.AeroDetector.compile`::
 
-    detector.score(test_series, backend="compiled")
-    stream = detector.stream(backend="compiled")     # tape-free streaming
+    detector.score(test_series)                      # tape-free, bit-equal
+    stream = detector.stream()                       # tape-free streaming
 """
 
 from .compiler import CompiledDetector, compile_detector, compile_model

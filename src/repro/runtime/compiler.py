@@ -162,7 +162,7 @@ class CompiledDetector:
     training-tail context and POT threshold of the source detector, and
     reimplements the scoring entry points of :class:`repro.core.AeroDetector`
     with identical batching — so ``score()``/``detect()`` are bit-for-bit
-    equal to the autograd path in float64 mode.
+    equal to the detector's (and the autograd forward's) in float64 mode.
 
     ``score_stack`` is the fused multi-star serving path: a ``(S, W, N)``
     stack of ring-buffer windows (one per shard) is scored with a single

@@ -4,9 +4,8 @@ A *plan* is the compiled form of one trained module: weights frozen into
 read-only flat arrays, forward logic rewritten as pure ``np.ndarray``
 kernels (:mod:`repro.runtime.ops`) with no :class:`~repro.nn.Tensor`
 allocation and no autograd bookkeeping.  Plans are built by
-:mod:`repro.runtime.compiler` and are the execution layer behind
-``AeroDetector.score(backend="compiled")`` and the streaming/fleet serving
-paths.
+:mod:`repro.runtime.compiler` and are the execution layer behind ``AeroDetector.score()`` and the
+streaming/fleet serving paths.
 
 Guarantees
 ----------

@@ -81,9 +81,8 @@ class FleetManager:
         policy.  Pass ``None`` explicitly via ``alerts=False``-style usage is
         not supported — use a permissive policy instead.
     backend:
-        ``"autograd"``, ``"compiled"``, ``"incremental"``, ``None`` (inherit
-        the detector's default) or a pre-built
-        :class:`repro.runtime.CompiledDetector`.
+        ``"compiled"`` (or ``None``, the default), ``"incremental"`` or a
+        pre-built :class:`repro.runtime.CompiledDetector`.
         On the compiled backend every tick is served through the fused
         multi-star ``score_stack`` path: the ``(num_shards, W, N)`` stack of
         ring-buffer windows is scored in one tape-free plan call.
@@ -221,10 +220,7 @@ class FleetManager:
         )
         self._inc_state = None
         self._inc_retired = {"ticks": 0, "incremental_ticks": 0, "rebuilds": 0, "fallback_ticks": 0}
-        if self._incremental:
-            self.backend = "incremental"
-        else:
-            self.backend = "autograd" if self._engine is None else "compiled"
+        self.backend = "incremental" if self._incremental else "compiled"
 
         window = self.config.window
         # Shards share one exposure timeline, stitched to the training tail
@@ -233,14 +229,10 @@ class FleetManager:
         self._buffers, self._timeline = seed_stream_state(detector, num_shards, seed_context)
         self._step = 0
         # Reusable micro-batch staging arrays: one slot per shard, filled by
-        # copying each shard's zero-copy window view.  The autograd path
-        # stages variate-major ``(S, N, W)`` windows; the compiled path keeps
-        # the ring buffers' time-major layout and hands the ``(S, W, N)``
-        # stack to the fused ``score_stack`` plan call.
-        if self._engine is None:
-            self._batch_long = np.empty((num_shards, self.num_variates, window))
-        else:
-            self._batch_stack = np.empty((num_shards, window, self.num_variates))
+        # copying each shard's zero-copy window view in the ring buffers'
+        # time-major layout; the ``(S, W, N)`` stack goes to the fused
+        # ``score_stack`` plan call.
+        self._batch_stack = np.empty((num_shards, window, self.num_variates))
         self._batch_times = np.empty((num_shards, window))
 
         # Always-on cheap accounting backing health() — one small array op
@@ -402,11 +394,7 @@ class FleetManager:
         a value recalibrated on the new model's scores (e.g. over a held-out
         quiet stretch) to keep serving an override across the swap.
         """
-        target = resolve_swap_source(
-            source,
-            prefer_compiled=self._engine is not None,
-            dtype=None if self._engine is None else self._engine.dtype,
-        )
+        target = resolve_swap_source(source, dtype=self._engine.dtype)
         check_swap_compatible(target, self.num_variates, self.config)
         if target.graph_mode == "dynamic":
             raise ValueError("FleetManager does not support graph_mode='dynamic' detectors")
@@ -416,21 +404,12 @@ class FleetManager:
         self.config = target.config
         self._scaler = target.scaler
         self._engine = target.engine
-        self.backend = "autograd" if self._engine is None else "compiled"
         if self._incremental:
-            # prefer_compiled guarantees a compiled engine above; the old
-            # state's cached history was built under the old model and
-            # scaler, so it is discarded (its accounting folds into the
+            # The old state's cached history was built under the old model
+            # and scaler, so it is discarded (its accounting folds into the
             # running totals) and rebuilt on the next tick.
-            self.backend = "incremental"
             self._retire_inc_state()
         self.threshold = target.threshold if threshold is None else float(threshold)
-        # The staging array of the other backend kind may not exist yet.
-        window = self.config.window
-        if self._engine is None and not hasattr(self, "_batch_long"):
-            self._batch_long = np.empty((self.num_shards, self.num_variates, window))
-        if self._engine is not None and not hasattr(self, "_batch_stack"):
-            self._batch_stack = np.empty((self.num_shards, window, self.num_variates))
         # A raw-source swap leaves the registry-version label unknown;
         # ModelRegistry.deploy re-stamps it after calling us.
         self.model_version = None
@@ -566,7 +545,6 @@ class FleetManager:
             self._timeline.append(times[0])
 
             window = self.config.window
-            short = self.config.short_window
             if any_missing:
                 for shard in np.flatnonzero(missing.any(axis=1)):
                     impute_missing_row(scaled[shard], missing[shard], self._buffers[shard])
@@ -589,22 +567,11 @@ class FleetManager:
         with self._tracer.span("fleet.forward"):
             if self._incremental:
                 scores = self._incremental_forward(scaled, float(times[0]))
-            elif self._engine is not None:
+            else:
                 self._batch_times[:] = self._timeline.view(window)[None, :]
                 for shard, buffer in enumerate(self._buffers):
                     self._batch_stack[shard] = buffer.view(window)
                 scores = self._engine.score_stack(self._batch_stack, self._batch_times)
-            else:
-                self._batch_times[:] = self._timeline.view(window)[None, :]
-                for shard, buffer in enumerate(self._buffers):
-                    self._batch_long[shard] = buffer.view(window).T
-                scores = self.detector.score_windows(
-                    self._batch_long,
-                    self._batch_long[:, :, window - short :],
-                    self._batch_times,
-                    self._batch_times[:, window - short :],
-                    backend="autograd",
-                )
         if any_masked:
             # An imputed window still yields a finite model output, but a
             # star that was not observed this tick — or is re-arming after a

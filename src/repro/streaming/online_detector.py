@@ -8,9 +8,9 @@ arriving row it
 2. appends it to a :class:`~repro.streaming.buffer.RingBuffer` seeded with
    the detector's training-tail context (exactly what the batch path
    prepends), and
-3. runs one single-window forward pass via
-   :meth:`repro.core.AeroDetector.score_windows` — O(1) work per step
-   instead of the O(T) re-windowing of ``AeroDetector.score()``.
+3. runs one single-window forward pass on the detector's compiled plans
+   (:meth:`repro.runtime.CompiledDetector.score_windows`) — O(1) work per
+   step instead of the O(T) re-windowing of ``AeroDetector.score()``.
 
 Equivalence contract: for ``"window"`` and ``"static"`` graph modes every
 window is scored independently, so the streaming scores are *identical* to
@@ -51,23 +51,24 @@ logger = logging.getLogger("repro.streaming.online_detector")
 
 
 def resolve_backend_engine(detector: "AeroDetector", backend):
-    """Resolve a streaming front-end's ``backend`` argument to an engine.
+    """Resolve a streaming front-end's ``backend`` argument to its engine.
 
-    Returns a :class:`repro.runtime.CompiledDetector` when the resolved
-    backend is ``"compiled"`` (building/caching it through
-    :meth:`AeroDetector.compile`), or ``None`` for the autograd path.
-    ``backend`` may be ``None`` (inherit the detector default), one of the
-    backend names, or an already-built :class:`CompiledDetector` — e.g. one
-    loaded from a checkpoint or compiled with ``dtype="float32"``.
+    ``None`` or ``"compiled"`` selects the detector's cached float64
+    :class:`repro.runtime.CompiledDetector` (:meth:`AeroDetector.compile`);
+    an already-built :class:`CompiledDetector` — e.g. one loaded from a
+    checkpoint or compiled with ``dtype="float32"`` — is served as given.
     """
-    if backend is None or isinstance(backend, str):
-        resolved = detector._resolve_backend(backend)
-        return detector.compile() if resolved == "compiled" else None
+    if backend is None or backend == "compiled":
+        return detector.compile()
+    if isinstance(backend, str):
+        raise ValueError(
+            f"backend must be None, 'compiled', 'incremental' or a CompiledDetector, got {backend!r}"
+        )
     from ..runtime import CompiledDetector
 
     if not isinstance(backend, CompiledDetector):
         raise TypeError(
-            "backend must be None, 'autograd', 'compiled' or a CompiledDetector, "
+            "backend must be None, 'compiled', 'incremental' or a CompiledDetector, "
             f"got {type(backend).__name__}"
         )
     if backend.num_variates != detector._require_fitted().num_variates:
@@ -83,7 +84,7 @@ class SwapTarget:
     """Resolved ingredients of a model hot-swap (see :func:`resolve_swap_source`)."""
 
     detector: "AeroDetector | None"   # None when serving a compiled plan only
-    engine: "object | None"           # CompiledDetector, or None for autograd
+    engine: object                    # the CompiledDetector to serve
     scaler: object
     threshold: float
     config: object
@@ -91,17 +92,15 @@ class SwapTarget:
     graph_mode: str | None
 
 
-def resolve_swap_source(source, *, prefer_compiled: bool, dtype=None) -> SwapTarget:
+def resolve_swap_source(source, *, dtype) -> SwapTarget:
     """Resolve a hot-swap ``source`` into the pieces a front-end swaps in.
 
     ``source`` may be a fitted :class:`repro.core.AeroDetector`, a
     pre-built :class:`repro.runtime.CompiledDetector` (e.g. float32 plans),
     or a ``str``/``Path`` to an :meth:`AeroDetector.save` artifact — which
     is exactly what a :class:`repro.training.ModelRegistry` version stores.
-    With ``prefer_compiled`` (the front-end currently serves compiled
-    plans), a detector source is compiled with ``dtype`` — pass the current
-    engine's dtype so both the backend kind *and* its precision mode are
-    preserved across the swap.
+    A detector source is compiled with ``dtype`` — the current engine's,
+    so the serving precision is preserved across the swap.
     """
     from ..runtime import CompiledDetector
 
@@ -126,12 +125,9 @@ def resolve_swap_source(source, *, prefer_compiled: bool, dtype=None) -> SwapTar
             f"checkpoint path, got {type(source).__name__}"
         )
     fitted = model()
-    engine = None
-    if prefer_compiled:
-        engine = source.compile() if dtype is None else source.compile(dtype=dtype)
     return SwapTarget(
         detector=source,
-        engine=engine,
+        engine=source.compile(dtype=dtype),
         scaler=source.scaler,
         threshold=source.threshold(),
         config=source.config,
@@ -231,11 +227,10 @@ class StreamingDetector:
         what the batch path prepends; disable for a cold-started star with no
         history, which then warms up over the first ``W - 1`` steps.
     backend:
-        ``"autograd"`` steps through the detector's model; ``"compiled"``
-        compiles the detector into the tape-free plans of
-        :mod:`repro.runtime` and serves from those (same scores, bit for bit
-        in float64).  ``"incremental"`` additionally keeps a cross-tick
-        :class:`repro.runtime.IncrementalState`: every ingested row appends
+        ``"compiled"`` (or ``None``, the default) serves from the detector's
+        cached tape-free plans of :mod:`repro.runtime` (bit for bit the
+        batch scores in float64).  ``"incremental"`` additionally keeps a
+        cross-tick :class:`repro.runtime.IncrementalState`: every ingested row appends
         into the state's ring arenas and only the newest timestep's work is
         recomputed per tick; the state rebuilds transparently from the ring
         buffer when its history is discarded (fresh stream, hot swap), and
@@ -243,8 +238,7 @@ class StreamingDetector:
         full compiled forward.  A pre-built
         :class:`repro.runtime.CompiledDetector` may also be passed
         directly, e.g. one loaded from a checkpoint or compiled with
-        ``dtype="float32"``.  ``None`` inherits the detector's default
-        backend.
+        ``dtype="float32"``.
     """
 
     def __init__(
@@ -267,10 +261,7 @@ class StreamingDetector:
             detector, "compiled" if self._incremental else backend
         )
         self._inc_state = None
-        if self._incremental:
-            self.backend = "incremental"
-        else:
-            self.backend = "autograd" if self._engine is None else "compiled"
+        self.backend = "incremental" if self._incremental else "compiled"
 
         buffers, self._timeline = seed_stream_state(detector, 1, seed_context)
         self._buffer = buffers[0]
@@ -283,9 +274,7 @@ class StreamingDetector:
                 detector, num_stars=self.num_variates, refit_interval=pot_refit_interval
             )
 
-        if model.noise is not None and model.noise.graph_mode == "dynamic":
-            model.noise.reset_dynamic_state()
-        if self._engine is not None and self._engine.model.graph_mode == "dynamic":
+        if self._engine.model.graph_mode == "dynamic":
             self._engine.reset_dynamic_state()
 
         # Telemetry (no-ops until repro.obs.enable_telemetry; never perturbs
@@ -346,11 +335,7 @@ class StreamingDetector:
         new model's POT calibration; an adaptive POT keeps its state and
         continues adapting.
         """
-        target = resolve_swap_source(
-            source,
-            prefer_compiled=self._engine is not None,
-            dtype=None if self._engine is None else self._engine.dtype,
-        )
+        target = resolve_swap_source(source, dtype=self._engine.dtype)
         check_swap_compatible(target, self.num_variates, self.config)
         rescale_buffer_rows([self._buffer], self._scaler, target.scaler)
 
@@ -358,21 +343,14 @@ class StreamingDetector:
         self.config = target.config
         self._scaler = target.scaler
         self._engine = target.engine
-        self.backend = "autograd" if self._engine is None else "compiled"
-        if self._incremental:
-            # prefer_compiled guarantees a compiled engine above; the old
-            # state's cached history was built under the old model and
-            # scaler, so it is discarded and rebuilt on the next tick.
-            self.backend = "incremental"
-            self._inc_state = None
+        # The old incremental state's cached history was built under the old
+        # model and scaler, so it is discarded and rebuilt on the next tick.
+        self._inc_state = None
         self.threshold = target.threshold
         if target.graph_mode == "dynamic":
             # A dynamic-graph model starts its smoothed-adjacency state fresh,
             # exactly as a newly constructed stream would.
-            if target.detector is not None:
-                target.detector.model.noise.reset_dynamic_state()
-            if self._engine is not None:
-                self._engine.reset_dynamic_state()
+            self._engine.reset_dynamic_state()
         # A raw-source swap leaves the registry-version label unknown;
         # ModelRegistry.deploy re-stamps it after calling us.
         self.model_version = None
@@ -397,8 +375,8 @@ class StreamingDetector:
         """Ingest a micro-batch of rows; one vectorised model call for all.
 
         Rows are appended in order; every row whose window is complete is
-        scored in a single ``score_windows`` call, so a micro-batch of ``k``
-        rows costs one forward pass of batch size ``<= k``.
+        scored in a single plan call, so a micro-batch of ``k`` rows costs
+        one forward pass of batch size ``<= k``.
 
         Non-finite entries mark missing observations: the buffered value is
         imputed by carrying the star's last value forward (one gap must not
@@ -450,21 +428,12 @@ class StreamingDetector:
 
         batch = len(ready_rows)
         if batch:
-            if self._engine is not None:
-                scores_batch = self._engine.score_windows(
-                    longs[:batch],
-                    longs[:batch, :, window - short :],
-                    long_times[:batch],
-                    long_times[:batch, window - short :],
-                )
-            else:
-                scores_batch = self.detector.score_windows(
-                    longs[:batch],
-                    longs[:batch, :, window - short :],
-                    long_times[:batch],
-                    long_times[:batch, window - short :],
-                    backend="autograd",
-                )
+            scores_batch = self._engine.score_windows(
+                longs[:batch],
+                longs[:batch, :, window - short :],
+                long_times[:batch],
+                long_times[:batch, window - short :],
+            )
         results: list[StreamStepResult] = []
         ready_cursor = 0
         for position in range(count):

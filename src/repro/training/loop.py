@@ -81,6 +81,19 @@ class LoopEvent:
         return f"[step {self.step}] {self.kind} {parts}".rstrip()
 
 
+def held_back_scores(detector, series, timestamps, held_back: int) -> np.ndarray:
+    """``detector``'s scores of the last ``held_back`` rows of ``series``.
+
+    Equal to scoring the whole history and keeping its tail: only the
+    ``W - 1`` rows before the tail are scored along with it, so every kept
+    window sees the rows (and timestamps) a full-history pass would give it.
+    """
+    length = series.shape[0]
+    start = max(length - held_back - (detector.config.window - 1), 0)
+    times = None if timestamps is None else timestamps[start:]
+    return detector.score(series[start:], times)[length - held_back - start:]
+
+
 class ContinualLearningController:
     """Drift-triggered retrain → shadow canary → gated promote → rollback.
 
@@ -135,6 +148,10 @@ class ContinualLearningController:
     seed:
         Master seed: cycle ``c`` retrains with ``seed + c`` and draws its
         canary probes from the same stream.
+    canary_backend:
+        Serving backend of the canary's shadow fleets (see
+        :class:`~repro.streaming.FleetManager`); ``None`` serves each model's
+        cached compiled plans.
     """
 
     def __init__(
@@ -396,14 +413,10 @@ class ContinualLearningController:
         candidate = AeroDetector.load(result.checkpoint_path)
         # The candidate was fine-tuned on the worst shard but serves every
         # shard, so its threshold and drift reference are calibrated on the
-        # trailing ticks of *all* recorded traffic: each shard's full
-        # history is scored (full context, no warm-up head in the tail) and
-        # the held-back block is assembled per star, ``(Tc, S*N)``.
+        # trailing ticks of *all* recorded traffic, assembled per star,
+        # ``(Tc, S*N)``.
         calibration_scores = np.hstack(
-            [
-                candidate.score(block, timestamps)[length - held_back:]
-                for block in per_shard
-            ]
+            [held_back_scores(candidate, block, timestamps, held_back) for block in per_shard]
         )
         finite = calibration_scores[np.isfinite(calibration_scores)]
         if finite.size == 0:

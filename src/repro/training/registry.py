@@ -392,8 +392,8 @@ class ModelRegistry:
         ``target`` is anything exposing ``swap_model`` — a
         :class:`~repro.streaming.FleetManager` or
         :class:`~repro.streaming.StreamingDetector`.  With ``dtype`` given,
-        the version is compiled first and the target serves the tape-free
-        plans; otherwise the target keeps its current backend kind.
+        the version is compiled at that precision; otherwise the target
+        keeps its current backend kind and precision.
 
         When the version was published with per-star calibration and the
         target is *already* serving adaptive per-star thresholds

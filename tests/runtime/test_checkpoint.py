@@ -6,12 +6,14 @@ scores bit-for-bit like the one that was saved, and compiled serving plans
 can be built straight from disk without retraining.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import build_variant
-from repro.nn import save_arrays
+from repro.nn import load_arrays, save_arrays
 from repro.streaming import FleetManager
 
 
@@ -89,14 +91,26 @@ class TestRoundTrip:
         assert restored.graph_mode == "static"
         assert np.array_equal(detector.score(test), restored.score(test))
 
+    @pytest.mark.parametrize("backend", ["autograd", "compiled"])
+    def test_legacy_backend_metadata_loads(self, fitted, series, tmp_path, backend):
+        # Older checkpoints (e.g. registry versions) recorded the detector's
+        # default serving backend; the key is ignored on load, no longer saved.
+        _, test = series
+        arrays = load_arrays(fitted.save(tmp_path / "detector.npz"))
+        meta = json.loads(str(arrays["meta"]))
+        assert "backend" not in meta["detector"]
+        meta["detector"]["backend"] = backend
+        arrays["meta"] = np.array(json.dumps(meta))
+        restored = AeroDetector.load(save_arrays(tmp_path / "legacy.npz", arrays))
+        assert np.array_equal(fitted.score(test), restored.score(test))
+        assert np.array_equal(fitted.score(test), restored.compile().score(test))
+
 
 class TestServeFromDisk:
     def test_compile_from_loaded_checkpoint(self, fitted, series, tmp_path):
         _, test = series
         restored = AeroDetector.load(fitted.save(tmp_path / "detector.npz"))
-        assert np.array_equal(
-            fitted.score(test), restored.score(test, backend="compiled")
-        )
+        assert np.array_equal(fitted.score(test), restored.compile().score(test))
 
     def test_fleet_serves_from_checkpoint(self, fitted, series, tmp_path):
         _, test = series

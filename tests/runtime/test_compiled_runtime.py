@@ -3,11 +3,14 @@
 The float64 contract is *bit-for-bit* equality with the autograd forward
 pass — asserted with ``np.array_equal``, not ``allclose`` — across every
 ablation variant, both conditioning modes, all graph modes, the streaming
-and fleet serving fronts, and the fused multi-star stack path.
+and fleet serving fronts, and the fused multi-star stack path.  The
+reference is the autograd oracle of ``autograd_oracle.py``: the detector's
+own ``score`` runs on compiled plans too.
 """
 
 import numpy as np
 import pytest
+from autograd_oracle import autograd_scores, autograd_window_scores
 
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
@@ -64,17 +67,18 @@ class TestFloat64Parity:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_score_bit_equal_across_variants(self, fitted_variants, test_series, variant):
         det = fitted_variants[variant]
-        reference = det.score(test_series)
+        reference = autograd_scores(det, test_series)
         compiled = compile_detector(det).score(test_series)
         assert compiled.dtype == np.float64
         assert np.array_equal(reference, compiled)
+        assert np.array_equal(reference, det.score(test_series))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_detect_bit_equal_across_variants(self, fitted_variants, test_series, variant):
         det = fitted_variants[variant]
-        assert np.array_equal(
-            det.detect(test_series), compile_detector(det).detect(test_series)
-        )
+        reference = (autograd_scores(det, test_series) >= det.threshold()).astype(np.int64)
+        assert np.array_equal(reference, compile_detector(det).detect(test_series))
+        assert np.array_equal(reference, det.detect(test_series))
 
     def test_score_with_timestamps(self, train_series, test_series):
         rng = np.random.default_rng(3)
@@ -82,29 +86,30 @@ class TestFloat64Parity:
         test_times = train_times[-1] + np.cumsum(0.8 + 0.4 * rng.random(len(test_series)))
         det = AeroDetector(_fast_config())
         det.fit(train_series, train_times)
-        reference = det.score(test_series, test_times)
+        reference = autograd_scores(det, test_series, test_times)
         assert np.array_equal(reference, compile_detector(det).score(test_series, test_times))
+        assert np.array_equal(reference, det.score(test_series, test_times))
 
     def test_full_conditioning_parity(self, train_series, test_series):
         det = AeroDetector(_fast_config(conditioning="full"))
         det.fit(train_series)
-        assert np.array_equal(
-            det.score(test_series), compile_detector(det).score(test_series)
-        )
+        reference = autograd_scores(det, test_series)
+        assert np.array_equal(reference, compile_detector(det).score(test_series))
+        assert np.array_equal(reference, det.score(test_series))
 
     def test_score_windows_parity(self, detector, test_series):
         window, short = detector.config.window, detector.config.short_window
         longs = np.stack([test_series[i:i + window].T for i in range(0, 40, 5)])
         shorts = longs[:, :, window - short:]
         compiled = compile_detector(detector)
-        assert np.array_equal(
-            detector.score_windows(longs, shorts), compiled.score_windows(longs, shorts)
-        )
+        reference = autograd_window_scores(detector, longs, shorts)
+        assert np.array_equal(reference, compiled.score_windows(longs, shorts))
+        assert np.array_equal(reference, detector.score_windows(longs, shorts))
         times = np.tile(np.arange(window, dtype=np.float64), (len(longs), 1))
-        assert np.array_equal(
-            detector.score_windows(longs, shorts, times, times[:, window - short:]),
-            compiled.score_windows(longs, shorts, times, times[:, window - short:]),
-        )
+        timed = (longs, shorts, times, times[:, window - short:])
+        reference = autograd_window_scores(detector, *timed)
+        assert np.array_equal(reference, compiled.score_windows(*timed))
+        assert np.array_equal(reference, detector.score_windows(*timed))
 
     def test_forward_intermediates_match(self, detector, test_series):
         window, short = detector.config.window, detector.config.short_window
@@ -216,26 +221,13 @@ class TestTapeFree:
 
 
 class TestDetectorBackendSwitch:
-    def test_backend_kwarg_bit_equal(self, detector, test_series):
-        assert np.array_equal(
-            detector.score(test_series), detector.score(test_series, backend="compiled")
-        )
-        assert np.array_equal(
-            detector.detect(test_series), detector.detect(test_series, backend="compiled")
-        )
-
-    def test_default_backend_detector(self, train_series, test_series):
-        reference = AeroDetector(_fast_config())
-        reference.fit(train_series)
-        compiled_default = AeroDetector(_fast_config(), backend="compiled")
-        compiled_default.fit(train_series)
-        assert np.array_equal(reference.score(test_series), compiled_default.score(test_series))
-
-    def test_invalid_backend_rejected(self, detector, test_series):
-        with pytest.raises(ValueError, match="backend"):
-            AeroDetector(backend="tensorflow")
-        with pytest.raises(ValueError, match="backend"):
-            detector.score(test_series, backend="jit")
+    def test_invalid_backend_rejected(self, detector):
+        # Autograd is a training engine and the test oracle, not a serving backend.
+        for backend in ("autograd", "jit"):
+            with pytest.raises(ValueError, match="backend"):
+                detector.stream(backend=backend)
+            with pytest.raises(ValueError, match="backend"):
+                FleetManager(detector, num_shards=2, backend=backend)
 
     def test_compile_requires_fitted(self):
         with pytest.raises(RuntimeError, match="fitted"):
@@ -253,6 +245,50 @@ class TestDetectorBackendSwitch:
         assert det.compile(dtype="float32") is plan32
         det.fit(train_series)
         assert det.compile() is not first
+
+
+class TestLivePlanScoring:
+    """``score`` compiles the live model per call: eager semantics, no shared state."""
+
+    @pytest.mark.parametrize("backend", [None, "compiled"])
+    def test_score_does_not_perturb_a_live_dynamic_stream(
+        self, fitted_variants, test_series, backend
+    ):
+        # Regression: a batch score() between two stream steps used to reset
+        # and then advance the smoothed adjacency the stream was carrying.
+        det = fitted_variants["dynamic_graph"]
+        reference = det.stream(backend=backend).score_series(test_series)
+        stream = det.stream(backend=backend)
+        half = len(test_series) // 2
+        first = stream.score_series(test_series[:half])
+        det.score(test_series[::-1])
+        rest = stream.score_series(test_series[half:])
+        assert np.array_equal(reference, np.concatenate([first, rest]))
+
+    @pytest.mark.parametrize("variant", ["full", "dynamic_graph", "static_graph"])
+    def test_learned_graph_is_the_last_scored_window(
+        self, fitted_variants, test_series, variant
+    ):
+        det = fitted_variants[variant]
+        autograd_scores(det, test_series[:50])
+        expected = det.model.noise.last_adjacency.copy()
+        det.model.noise.last_adjacency = np.zeros_like(expected)
+        det.score(test_series[:50])
+        assert np.array_equal(det.learned_graph(), expected)
+
+    def test_in_place_weight_edits_are_seen(self, fitted_variants, test_series):
+        det = fitted_variants["full"]
+        weight = det.model.temporal.output_projection.weight.data
+        saved = weight.copy()
+        before = det.score(test_series)
+        weight *= 0.5
+        try:
+            edited = det.score(test_series)
+            assert not np.array_equal(before, edited)
+            assert np.array_equal(edited, autograd_scores(det, test_series))
+        finally:
+            weight[...] = saved
+        assert np.array_equal(det.score(test_series), before)
 
 
 class TestStreamingOnCompiledBackend:
@@ -281,20 +317,28 @@ class TestStreamingOnCompiledBackend:
 
 class TestFleetOnCompiledBackend:
     def test_fleet_bit_equal_to_autograd_fleet(self, detector, test_series):
-        num_shards = 3
+        num_shards, ticks = 3, 30
         rng = np.random.default_rng(9)
         exposures = (
-            np.stack([test_series[:30]] * num_shards, axis=1)
-            + 0.001 * rng.standard_normal((30, num_shards, test_series.shape[1]))
+            np.stack([test_series[:ticks]] * num_shards, axis=1)
+            + 0.001 * rng.standard_normal((ticks, num_shards, test_series.shape[1]))
         )
-        autograd = FleetManager(detector, num_shards=num_shards, alert_policy=AlertPolicy())
-        compiled = FleetManager(
-            detector, num_shards=num_shards, alert_policy=AlertPolicy(), backend="compiled"
-        )
+        compiled = FleetManager(detector, num_shards=num_shards, alert_policy=AlertPolicy())
         assert compiled.backend == "compiled"
-        for result_a, result_c in zip(autograd.run(exposures), compiled.run(exposures)):
-            assert np.array_equal(result_a.scores, result_c.scores, equal_nan=True)
-            assert np.array_equal(result_a.labels, result_c.labels)
+        # The autograd fleet, unrolled: every tick scores the (S, N, W) stack
+        # of each shard's training-tail-seeded window in one forward call.
+        window, short = detector.config.window, detector.config.short_window
+        tail, _ = detector.window_context()
+        history = np.concatenate(
+            [np.stack([tail] * num_shards, axis=1), detector.scaler.transform(exposures)]
+        )
+        for tick, result in enumerate(compiled.run(exposures)):
+            longs = history[tick:tick + window].transpose(1, 2, 0)
+            reference = autograd_window_scores(detector, longs, longs[:, :, window - short:])
+            assert np.array_equal(reference, result.scores)
+            assert np.array_equal(
+                (reference >= detector.threshold()).astype(np.int64), result.labels
+            )
 
     def test_fleet_from_float32_plan(self, detector, test_series):
         plan = compile_detector(detector, dtype="float32")

@@ -244,7 +244,7 @@ class TestStreamIncrementalBackend:
         stream_incremental = StreamingDetector(detector, backend="incremental")
         series = scenario.train[-70:]
         streamed = stream_incremental.score_series(series)
-        batch = detector.score(series, backend="compiled")
+        batch = detector.score(series)
         assert np.array_equal(streamed, batch, equal_nan=True)
 
     def test_adaptive_pot_rides_along(self, scenario, detector):

@@ -26,9 +26,11 @@ from repro.training import (
     GateResult,
     ModelRegistry,
     ShadowTraffic,
+    evaluate_canary,
     inject_probes,
     score_psi,
 )
+from repro.training.loop import held_back_scores
 
 LOOP_SEED = 23
 MODEL_NAME = "gwac-field"
@@ -407,3 +409,52 @@ class TestCanaryUnits:
             report.gate("nope")
         assert "FAIL" in report.format()
         assert report.summary()["failed_gates"] == ["recall"]
+
+
+class TestCompiledCalibrationAndCanary:
+    @pytest.mark.parametrize("timed", [True, False])
+    def test_held_back_scores_equal_full_history_tail(self, loop_night, timed):
+        _, drifted, detector, _, _ = loop_night
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            length = int(rng.integers(40, 160))
+            held_back = int(rng.integers(1, length // 2 + 1))
+            start = int(rng.integers(0, drifted.exposures.shape[0] - length + 1))
+            shard = int(rng.integers(0, drifted.exposures.shape[1]))
+            block = drifted.exposures[start:start + length, shard]
+            times = drifted.timestamps[start:start + length] if timed else None
+            full = detector.score(block, times)[length - held_back:]
+            assert np.array_equal(held_back_scores(detector, block, times, held_back), full)
+
+    def test_shadow_replay_leaves_live_incremental_fleet_untouched(self, loop_night):
+        # Shadow fleets share the live detector's cached compiled engine —
+        # and with it the time-embedding memo the incremental fleet reads.
+        _, drifted, detector, cal_scores, threshold = loop_night
+        rows, times = drifted.exposures[:60], drifted.timestamps[:60]
+
+        def live_fleet():
+            return FleetManager(
+                detector, num_shards=drifted.config.num_shards,
+                backend="incremental", threshold=threshold,
+            )
+
+        reference = [result.scores for result in live_fleet().run(rows, times)]
+        fleet = live_fleet()
+        assert fleet._engine is detector.compile()
+        memo = detector.compile().model.temporal.time_embedding
+        rng = np.random.default_rng(5)
+        traffic = ShadowTraffic(
+            rows=drifted.exposures[:120],
+            timestamps=times[0] + np.cumsum(rng.uniform(5.0, 50.0, size=120)),
+        )
+        for tick in range(len(rows)):
+            if tick == 30:
+                tokens = memo._next_token
+                evaluate_canary(
+                    detector, detector, traffic,
+                    live_threshold=threshold, candidate_threshold=threshold,
+                    candidate_calibration=cal_scores,
+                )
+                assert memo._next_token - tokens > memo.MAX_CACHE
+            scores = fleet.step(rows[tick], float(times[tick])).scores
+            assert np.array_equal(scores, reference[tick], equal_nan=True)

@@ -183,7 +183,7 @@ class TestStreamingHotSwap:
     def test_swap_to_prebuilt_compiled_plans(self, detectors):
         old, new = detectors
         stream = StreamingDetector(old)
-        assert stream.backend == "autograd"
+        assert stream.backend == "compiled"
         stream.swap_model(new.compile())
         assert stream.backend == "compiled"
         rng = np.random.default_rng(31)
