@@ -3,7 +3,7 @@
 Serving scenario: every exposure tick delivers one fresh window per star
 shard, and each window is scored individually through the autograd model
 forward (``detector.model(...)`` with batch 1) — the single-window serving
-cost before the compiled runtime, when a per-shard ``StreamingDetector``
+cost before the compiled runtime, when a per-shard stream
 stepped the autograd model.  Autograd now serves training and the test
 oracle only, so the baseline calls the model directly.
 

@@ -57,14 +57,14 @@ def _run_serving_comparison():
         naive_scores.append(scores[-1])
     naive_seconds = time.perf_counter() - started
 
-    # --- streaming: one window per arriving timestamp ----------------------
+    # --- streaming: one window per arriving timestamp (a one-shard fleet) --
     stream = detector.stream()
     for row in test[:HISTORY]:
-        stream.step(row)
+        stream.step(row[None])
     stream_scores = []
     started = time.perf_counter()
     for row in test[HISTORY : HISTORY + STEPS]:
-        stream_scores.append(stream.step(row).scores)
+        stream_scores.append(stream.step(row[None]).scores[0])
     stream_seconds = time.perf_counter() - started
 
     # --- fleet: NUM_SHARDS fields served by one model call per exposure ----

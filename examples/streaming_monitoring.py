@@ -4,8 +4,10 @@ Where ``gwac_survey_monitoring.py`` replays a night by re-scoring the whole
 series offline, this example uses the streaming subsystem end to end:
 
 1. train AERO offline on the unlabeled archive (Algorithm 1);
-2. wrap the fitted detector in a :class:`repro.streaming.StreamingDetector`
-   and verify its incremental scores match the batch path exactly;
+2. open a single stream on the fitted detector (``detector.stream()``, a
+   one-shard :class:`repro.streaming.FleetManager`), feed it the night one
+   ``(1, N)`` exposure at a time and verify its scores match the batch path
+   exactly;
 3. serve a *fleet* of simulated camera fields through a
    :class:`repro.streaming.FleetManager` — one vectorised model call per
    exposure for all shards, with ``threshold_mode="per_star"`` adaptive POT
@@ -35,13 +37,15 @@ def main() -> None:
     detector.fit(dataset.train, dataset.train_timestamps)
     print(f"calibrated POT threshold: {detector.threshold():.4f}\n")
 
-    # --- single-stream sanity check: incremental == batch -----------------
+    # --- single-stream sanity check: online == batch ----------------------
     stream = detector.stream()
-    streaming_scores = stream.score_series(dataset.test)
-    batch_scores = detector.score(dataset.test)
+    results = stream.run(dataset.test[:, None, :], dataset.test_timestamps)
+    streaming_scores = np.stack([result.scores[0] for result in results])
+    batch_scores = detector.score(dataset.test, dataset.test_timestamps)
     assert np.array_equal(streaming_scores, batch_scores)
     print("streaming scores match the batch path bit for bit "
-          f"({streaming_scores.shape[0]} timestamps x {streaming_scores.shape[1]} stars)\n")
+          f"({streaming_scores.shape[0]} timestamps x {streaming_scores.shape[1]} stars, "
+          f"{stream.alert_policy.alerts_fired} alert(s))\n")
 
     # --- fleet serving: several camera fields, one model call per tick ----
     num_shards = 4

@@ -28,7 +28,6 @@ from .streaming import (
     FleetManager,
     IncrementalPOT,
     RingBuffer,
-    StreamingDetector,
     StreamingService,
 )
 from .training import (
@@ -72,7 +71,6 @@ __all__ = [
     "FleetManager",
     "IncrementalPOT",
     "RingBuffer",
-    "StreamingDetector",
     "StreamingService",
     "TrainingSession",
     "FleetTrainer",

@@ -10,16 +10,15 @@ cheaply assert per tick:
    dtype uniformity, write-locks (the ``freeze`` contract) and shape
    chains (``d_model`` threading, head divisibility, the ``(omega,
    omega)`` GCN geometry);
-2. **instrumented drive** — an :class:`IncrementalState` per declared
-   layout is rebuilt from synthetic windows and ticked with a tracking
-   arena, comparing every emitted score vector bit-for-bit (float64)
-   against the full forward staged exactly as that layout's serving front
-   stages it (``score_stack``'s transposed views for ``"stack"``, the
-   per-stream C-contiguous staging for ``"windows"``);
+2. **instrumented drive** — an :class:`IncrementalState` is rebuilt from
+   synthetic windows and ticked with a tracking arena, comparing every
+   emitted score vector bit-for-bit (float64) against the full forward
+   staged exactly as ``score_stack`` stages it (transposed window views);
 3. **state invariants** — mirrored-ring geometry and bounds, mirror-half
    equality, workspace aliasing (no two arena slots, and no slot and ring,
    may share memory), steady-state arena reallocation, and the raw layout
-   of the ``model.errors`` workspace against the state's declared layout.
+   of the ``model.errors`` workspace against ``score_stack``'s error
+   layout (C-contiguous univariate, transposed multivariate).
 
 Every failure is a named :class:`PlanIssue` (``dtype-mismatch``,
 ``mutable-weight``, ``shape-mismatch``, ``workspace-alias``,
@@ -72,7 +71,6 @@ class PlanReport:
     """Everything one :func:`verify_model` run found (empty = verified)."""
 
     issues: list[PlanIssue] = field(default_factory=list)
-    layouts: tuple[str, ...] = ()
     ticks: int = 0
     arrays_checked: int = 0
 
@@ -448,18 +446,19 @@ def _check_arena(state) -> list[PlanIssue]:
     errors = arena._buffers.get("model.errors")
     if errors is not None:
         stacks, variates, omega = state.num_stacks, state.num_variates, state.short
-        if state._uni or state.layout == "windows":
+        if state._uni:
             expected = (stacks, variates, omega)
         else:
-            # "stack" layout stages errors transposed so the GCN sees the
-            # same strides as score_stack's `target - reconstruction`.
+            # The multivariate fold stages errors transposed so the GCN sees
+            # the same strides as score_stack's `target - reconstruction`.
             expected = (stacks, omega, variates)
         if errors.shape != expected:
+            fold = "univariate" if state._uni else "multivariate"
             issues.append(
                 PlanIssue(
                     "layout-mismatch", "arena[model.errors]",
-                    f"declared layout {state.layout!r} stages errors as "
-                    f"{expected}, workspace is {errors.shape}",
+                    f"the {fold} fold stages errors as {expected}, "
+                    f"workspace is {errors.shape}",
                 )
             )
     if isinstance(arena, TrackingArena):
@@ -477,19 +476,12 @@ def _check_arena(state) -> list[PlanIssue]:
 # ----------------------------------------------------------------------
 # instrumented drive
 # ----------------------------------------------------------------------
-def _reference_scores(model, config, mode, windows, times) -> np.ndarray:
-    """Full-forward scores staged exactly like ``mode``'s serving front."""
-    num_stacks, window, variates = windows.shape
+def _reference_scores(model, config, windows, times) -> np.ndarray:
+    """Full-forward scores staged exactly like ``score_stack``."""
+    num_stacks, window, _ = windows.shape
     short = int(config.short_window)
-    if mode == "stack":
-        long_windows = windows.transpose(0, 2, 1)
-        long_times = np.broadcast_to(times, (num_stacks, window))
-    else:
-        long_windows = np.empty((num_stacks, variates, window))
-        for index in range(num_stacks):
-            long_windows[index] = windows[index].T
-        long_times = np.empty((num_stacks, window))
-        long_times[:] = times
+    long_windows = windows.transpose(0, 2, 1)
+    long_times = np.broadcast_to(times, (num_stacks, window))
     return model.forward(
         long_windows,
         long_windows[:, :, window - short :],
@@ -504,9 +496,9 @@ def _dynamic_snapshot(noise):
     return noise._dynamic_state.copy()
 
 
-def _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise) -> list[PlanIssue]:
+def _drive(model, config, num_stacks, ticks, rng, bitwise) -> list[PlanIssue]:
     issues: list[PlanIssue] = []
-    state = IncrementalState(model, config, num_stacks, layout=layout)
+    state = IncrementalState(model, config, num_stacks)
     arena = TrackingArena()
     state.arena = arena
     window, variates = state.window, state.num_variates
@@ -515,9 +507,6 @@ def _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise) -> lis
     times = np.arange(window, dtype=np.float64)
     state.rebuild(stack, times)
     windows = stack.copy()
-    # `use_short_window=False` states serve through `_score_full`, which
-    # replays score_stack staging whatever the declared layout.
-    reference_mode = layout if state.supported else "stack"
     noise = model.noise
     dynamic = noise is not None and noise.graph_mode == "dynamic"
 
@@ -534,7 +523,7 @@ def _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise) -> lis
             # The incremental tick advanced the EMA adjacency; rewind so the
             # reference forward replays the identical transition.
             noise._dynamic_state = snapshot
-        reference = _reference_scores(model, config, reference_mode, windows, times)
+        reference = _reference_scores(model, config, windows, times)
         if bitwise:
             equal = np.array_equal(reference, got)
         else:
@@ -550,7 +539,7 @@ def _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise) -> lis
             )
             issues.append(
                 PlanIssue(
-                    "score-divergence", f"layout={layout}",
+                    "score-divergence", "incremental drive",
                     f"tick {tick}: incremental scores diverge from the full "
                     f"forward (max abs diff {diff:.3e})",
                 )
@@ -567,13 +556,12 @@ def verify_model(
     *,
     num_stacks: int = 2,
     ticks: int = 4,
-    layouts: tuple[str, ...] = ("stack", "windows"),
     seed: int = 0,
 ) -> PlanReport:
     """Verify one :class:`CompiledModel` against its serving invariants.
 
     Runs the structural interpretation, then (if structurally sound) one
-    instrumented incremental drive per layout.  float64 plans are compared
+    instrumented incremental drive.  float64 plans are compared
     bit-for-bit against the full forward; float32 plans with a tolerance
     (their contract is precision-, not bit-, equivalence).  The model's
     observable serving state (dynamic adjacency, last_adjacency) is
@@ -582,7 +570,7 @@ def verify_model(
     arrays_checked = sum(
         1 for _, array in _iter_plan_arrays(model) if array is not None
     )
-    report = PlanReport(layouts=tuple(layouts), ticks=ticks, arrays_checked=arrays_checked)
+    report = PlanReport(ticks=ticks, arrays_checked=arrays_checked)
     report.issues.extend(check_structure(model, config))
     if report.issues:
         return report
@@ -593,18 +581,14 @@ def verify_model(
     saved_dynamic = _dynamic_snapshot(noise)
     saved_adjacency = None if noise is None else noise.last_adjacency
     try:
-        for layout in layouts:
-            try:
-                report.issues.extend(
-                    _drive_layout(model, config, layout, num_stacks, ticks, rng, bitwise)
-                )
-            except Exception as error:  # noqa: BLE001 - verification must report, not crash
-                report.issues.append(
-                    PlanIssue(
-                        "drive-failure", f"layout={layout}",
-                        f"incremental drive raised {type(error).__name__}: {error}",
-                    )
-                )
+        report.issues.extend(_drive(model, config, num_stacks, ticks, rng, bitwise))
+    except Exception as error:  # noqa: BLE001 - verification must report, not crash
+        report.issues.append(
+            PlanIssue(
+                "drive-failure", "incremental drive",
+                f"incremental drive raised {type(error).__name__}: {error}",
+            )
+        )
     finally:
         if noise is not None:
             noise._dynamic_state = saved_dynamic

@@ -158,7 +158,7 @@ class AeroDetector:
 
         The compiled artifact (see :mod:`repro.runtime`) scores with raw
         ndarray plans — bit-for-bit equal to :meth:`score` in float64 — and
-        is cached per dtype; ``fit()`` invalidates the cache.  Serving fronts
+        is cached per dtype; ``fit()`` invalidates the cache.  Serving fleets
         share it; :meth:`score` does not (see :meth:`_with_live_plan`).
         """
         from ..runtime import compile_detector
@@ -317,17 +317,22 @@ class AeroDetector:
         """The scaled training tail (and its timestamps) used as scoring context.
 
         ``score()`` prepends the last ``W - 1`` training rows so the first test
-        point already has a full window; a :class:`repro.streaming.StreamingDetector`
-        seeds its ring buffer with exactly this context for equivalence.
+        point already has a full window; a :class:`repro.streaming.FleetManager`
+        seeds its ring buffers with exactly this context for equivalence.
         """
         self._require_fitted()
         return self._train_tail, self._train_tail_times
 
     def stream(self, **kwargs) -> "object":
-        """Create a :class:`repro.streaming.StreamingDetector` over this detector."""
-        from ..streaming import StreamingDetector
+        """A single stream over this detector: a one-shard :class:`repro.streaming.FleetManager`.
 
-        return StreamingDetector(self, **kwargs)
+        Rows go in as ``(1, N)``; ``run`` over ``(T, 1, N)`` exposures scores
+        bit for bit what :meth:`score` scores on the same series.  ``kwargs``
+        are the fleet's (``backend``, ``threshold_mode``, ...).
+        """
+        from ..streaming import FleetManager
+
+        return FleetManager(self, num_shards=1, **kwargs)
 
     def score(
         self,

@@ -20,8 +20,8 @@ and zero allocations per instrumented block when tracing is off.
 Instrumented span names (stable, test-pinned):
 
 * ``fleet.step`` > ``fleet.ingest`` / ``fleet.forward`` /
-  ``fleet.thresholds`` / ``fleet.alerts`` — the serving tick pipeline;
-* ``stream.step`` — a single-star streaming micro-batch;
+  ``fleet.thresholds`` / ``fleet.alerts`` — the serving tick pipeline
+  (a single stream is a one-shard fleet);
 * ``training.stage1`` / ``training.stage2`` > ``training.epoch`` /
   ``training.validation`` — the two-stage training loop.
 """

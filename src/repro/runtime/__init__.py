@@ -25,10 +25,13 @@ Entry points::
 
 The detector's own batch entry points (``score``/``detect``/
 ``score_windows``) run on plans compiled from its live model per call, and
-its serving fronts on the cached :meth:`~repro.core.AeroDetector.compile`::
+its serving front — a :class:`repro.streaming.FleetManager`, of which a
+single stream is the one-shard case — on the cached
+:meth:`~repro.core.AeroDetector.compile`::
 
     detector.score(test_series)                      # tape-free, bit-equal
-    stream = detector.stream()                       # tape-free streaming
+    stream = detector.stream()                       # one-shard fleet
+    results = stream.run(test_series[:, None, :])    # scores == score(...)
 """
 
 from .compiler import CompiledDetector, compile_detector, compile_model

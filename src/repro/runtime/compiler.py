@@ -221,25 +221,23 @@ class CompiledDetector:
     # ------------------------------------------------------------------
     # incremental serving
     # ------------------------------------------------------------------
-    def new_incremental_state(self, num_stacks: int, layout: str = "stack"):
+    def new_incremental_state(self, num_stacks: int):
         """A fresh :class:`repro.runtime.IncrementalState` for this plan.
 
         The state starts *invalid* (it has no window history); seed it with
         :meth:`IncrementalState.rebuild` from the serving ring buffers, then
-        advance it one tick at a time with :meth:`score_stack_step`.
-        ``layout`` picks which full-forward entry point the state matches
-        bit for bit: ``"stack"`` for :meth:`score_stack` (fleet serving),
-        ``"windows"`` for :meth:`score_windows` (per-stream serving).
+        advance it one tick at a time with :meth:`score_stack_step`, bit for
+        bit equal (float64) to :meth:`score_stack` over the same windows.
         """
         from .incremental import IncrementalState
 
-        return IncrementalState(self.model, self.config, num_stacks, layout=layout)
+        return IncrementalState(self.model, self.config, num_stacks)
 
     def score_stack_step(self, state, rows: np.ndarray, timestamp=None) -> np.ndarray:
         """Append one scaled exposure and score the fleet incrementally.
 
         ``rows`` is the ``(num_stacks, N)`` *scaled* exposure (exactly what
-        the streaming fronts append to their ring buffers); ``timestamp``
+        the serving front appends to its ring buffers); ``timestamp``
         the shared exposure time (``None`` locks the state to the default
         index cadence).  Returns ``(num_stacks, N)`` scores — bit-for-bit
         equal (float64) to staging the updated windows through
@@ -329,7 +327,7 @@ def compile_detector(detector: "AeroDetector", dtype="float64", verify: bool = F
 
     ``verify=True`` runs :func:`repro.analysis.plancheck.verify_model` on
     the exported plan before returning — structural shape/dtype checks
-    plus an instrumented incremental drive per layout, compared against
+    plus an instrumented incremental drive, compared against
     the full forward — raising
     :class:`~repro.analysis.plancheck.PlanVerificationError` on any issue.
     Verification restores all observable serving state, so a verified

@@ -35,7 +35,7 @@ ufunc/GEMM sequences of :mod:`repro.runtime.ops`, so float64 incremental
 scores are bit-for-bit equal to the full compiled forward.
 
 Invalidation: the state stays valid as long as it is fed the same rows, in
-the same order, as the serving ring buffers (the streaming fronts append to
+the same order, as the serving ring buffers (the serving front appends to
 both in lockstep — imputed dropout rows included).  Whenever that lockstep
 breaks — a model hot-swap rescales the buffered history, a front detects a
 desynchronisation, or the state is brand new — the front rebuilds the state
@@ -303,21 +303,11 @@ class IncrementalState:
     a model hot-swap) forces the next tick through :meth:`rebuild` again.
     """
 
-    def __init__(self, model: "CompiledModel", config, num_stacks: int, layout: str = "stack"):
+    def __init__(self, model: "CompiledModel", config, num_stacks: int):
         if num_stacks <= 0:
             raise ValueError("num_stacks must be positive")
-        if layout not in ("stack", "windows"):
-            raise ValueError(f"layout must be 'stack' or 'windows', got {layout!r}")
         self.model = model
         self.config = config
-        #: Which full-forward entry point this state must match bit for bit.
-        #: ``"stack"`` replicates ``score_stack``'s memory layouts (the fleet
-        #: path: transposed multivariate error strides); ``"windows"``
-        #: replicates ``score_windows``'s (the per-stream path: C-contiguous
-        #: error strides).  The GCN kernels are layout-sensitive at the ulp
-        #: level, so the two entry points are 1-ulp different worlds and the
-        #: state has to pick the one its serving front compares against.
-        self.layout = layout
         self.num_stacks = int(num_stacks)
         self.num_variates = model.num_variates
         self.window = int(config.window)
@@ -582,7 +572,7 @@ class IncrementalState:
         """Score the current window; ``(num_stacks, N)``, freshly allocated.
 
         Raises when the state is invalid (needs :meth:`rebuild`) or not yet
-        warm — the streaming fronts guard both before calling.
+        warm — the serving front guards both before calling.
         """
         if not self.valid:
             raise RuntimeError(
@@ -797,16 +787,14 @@ def model_step(model: "CompiledModel", state: IncrementalState) -> np.ndarray:
     # (``x - 0.0 == x``), and the static-graph GEMMs are stride-insensitive,
     # so the ring view serves directly.  Everything else stages errors in a
     # workspace: the adjacency einsum/norm kernels are layout-sensitive at
-    # the ulp level, so the buffer replicates the layout the serving front
-    # compares against — ``score_stack``'s ``target - reconstruction``
-    # inherits its operands' transposed layout in the multivariate fold,
-    # while ``score_windows``'s C-contiguous window batch yields
-    # C-contiguous errors (see ``_ws_like_layout``).
+    # the ulp level, so the buffer replicates ``score_stack``'s layout —
+    # its ``target - reconstruction`` inherits the operands' transposed
+    # layout in the multivariate fold (see ``_ws_like_layout``).
     needs_workspace = model.temporal is not None or (
         model.noise is not None and model.noise.graph_mode != "static"
     )
     if needs_workspace:
-        if state._uni or state.layout == "windows":
+        if state._uni:
             errors = arena.get("model.errors", target.shape, model.dtype)
         else:
             stacks, variates, omega = target.shape

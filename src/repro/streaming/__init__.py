@@ -8,8 +8,6 @@ system:
 
 * :mod:`~repro.streaming.buffer` — :class:`RingBuffer`, contiguous O(1)
   appends with zero-copy sliding-window views;
-* :mod:`~repro.streaming.online_detector` — :class:`StreamingDetector`,
-  one-timestamp-at-a-time scoring provably equal to the batch path;
 * :mod:`~repro.streaming.online_pot` — :class:`IncrementalPOT`, streaming
   POT thresholding with periodic GPD tail re-fits;
 * :mod:`~repro.streaming.vector_pot` — :class:`VectorizedIncrementalPOT`,
@@ -17,6 +15,8 @@ system:
   update per tick (bit-equal to independent scalar instances);
 * :mod:`~repro.streaming.fleet` — :class:`FleetManager`, sharded multi-star
   serving that micro-batches score steps through one vectorised model call;
+  a single stream (``AeroDetector.stream()``) is a one-shard fleet, scoring
+  one timestamp at a time bit for bit equal to the batch path;
 * :mod:`~repro.streaming.alerts` — :class:`AlertPolicy`, debounced per-star
   alerting for the GWAC monitoring scenario;
 * :mod:`~repro.streaming.service` — :class:`StreamingService`, a minimal
@@ -26,7 +26,6 @@ system:
 from .buffer import RingBuffer
 from .online_pot import IncrementalPOT
 from .vector_pot import VectorizedIncrementalPOT, calibrate_adaptive_pot
-from .online_detector import StreamingDetector, StreamStepResult
 from .alerts import Alert, AlertPolicy
 from .fleet import FleetManager, FleetStepResult
 from .service import ServiceStats, StreamingService
@@ -36,8 +35,6 @@ __all__ = [
     "IncrementalPOT",
     "VectorizedIncrementalPOT",
     "calibrate_adaptive_pot",
-    "StreamingDetector",
-    "StreamStepResult",
     "Alert",
     "AlertPolicy",
     "FleetManager",

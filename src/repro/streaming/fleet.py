@@ -1,17 +1,22 @@
 """Sharded multi-star fleet serving: one vectorised model call per tick.
 
 A GWAC night produces one new sample per star per exposure for ~10^5 stars.
-Stepping a :class:`~repro.streaming.online_detector.StreamingDetector` per
-star group would pay one model call per shard per tick; the fleet manager
-instead stacks every shard's current window along the batch axis and scores
-the whole fleet with **one** forward pass.  Window-wise graph learning makes
-this exact: each batch element (one shard's window) is processed
-independently, so scores are identical to stepping the shards one by one.
+Stepping one stream per star group would pay one model call per shard per
+tick; the fleet manager instead stacks every shard's current window along
+the batch axis and scores the whole fleet with **one** forward pass.
+Window-wise graph learning makes this exact: each batch element (one
+shard's window) is processed independently, so scores are identical to
+stepping the shards one by one.
 
 Shards share a single fitted :class:`repro.core.AeroDetector` — the model is
 trained on one reference field and serves every shard, the standard
 train-once / serve-many deployment shape.  Each shard keeps its own ring
 buffer; all shards share the exposure timeline.
+
+A single stream is a one-shard fleet: :meth:`repro.core.AeroDetector.stream`
+returns ``FleetManager(detector, num_shards=1, ...)``, whose ``(1, N)``
+ticks score bit for bit what ``detector.score`` scores on the same series
+(Algorithm 2).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,13 +34,6 @@ from ..obs.health import FleetHealth, latency_percentiles
 from ..obs.metrics import get_registry
 from ..obs.tracing import get_tracer
 from .alerts import Alert, AlertPolicy
-from .online_detector import (
-    check_swap_compatible,
-    impute_missing_row,
-    rescale_buffer_rows,
-    resolve_backend_engine,
-    resolve_swap_source,
-)
 from .timeline import seed_stream_state
 from .vector_pot import VectorizedIncrementalPOT, calibrate_adaptive_pot
 
@@ -48,6 +47,18 @@ logger = logging.getLogger("repro.streaming.fleet")
 #: Recent step latencies retained for health() percentiles (always on; a
 #: deque append per tick is noise next to the model forward).
 _LATENCY_RING = 1024
+
+
+def _check_dynamic_shards(num_shards: int) -> None:
+    """Reject a dynamic-graph model on more than one shard."""
+    if num_shards > 1:
+        # The dynamic-graph ablation smooths adjacency state sequentially
+        # across batch elements, so stacking unrelated shards on the batch
+        # axis would chain state between shards and make scores depend on
+        # shard order.  A single shard has no neighbour to chain into.
+        raise ValueError(
+            "FleetManager serves graph_mode='dynamic' detectors with num_shards=1 only"
+        )
 
 
 @dataclass
@@ -72,6 +83,9 @@ class FleetManager:
         A fitted batch detector whose model serves every shard.
     num_shards:
         Number of star groups; total stars served is ``num_shards * N``.
+        One shard is a single stream (:meth:`AeroDetector.stream`), the only
+        geometry that serves ``graph_mode="dynamic"`` detectors: their
+        smoothed adjacency would chain state between shards.
     seed_context:
         Seed every shard's buffer with the detector's training-tail context
         so scoring starts on the first tick (default).  Disable to model
@@ -94,6 +108,8 @@ class FleetManager:
         from the ring buffers whenever its history is discarded (fresh
         start, hot swap), and model shapes the incremental plan cannot
         serve exactly fall back to the full compiled forward per tick.
+        A pre-built engine (e.g. one loaded from a checkpoint or compiled
+        with ``dtype="float32"``) is served as given.
     threshold_mode:
         ``"global"`` (default) labels every star against the detector's one
         frozen POT scalar — the historical behaviour, correct only while
@@ -177,13 +193,6 @@ class FleetManager:
             # force; restore per-star calibrations via load_threshold_state.
             raise ValueError("threshold overrides apply to threshold_mode='global' only")
         model = detector._require_fitted()
-        if model.noise is not None and model.noise.graph_mode == "dynamic":
-            # The dynamic-graph ablation smooths adjacency state sequentially
-            # across batch elements, so stacking unrelated shards on the
-            # batch axis would chain state between shards and make scores
-            # depend on shard order.  Serve dynamic-mode detectors with one
-            # StreamingDetector per shard instead.
-            raise ValueError("FleetManager does not support graph_mode='dynamic' detectors")
         self.detector = detector
         self.config = detector.config
         self.num_shards = num_shards
@@ -215,17 +224,34 @@ class FleetManager:
         # "incremental" rides on the compiled engine: resolve it as
         # "compiled" and layer the cross-tick state on top.
         self._incremental = backend == "incremental"
-        self._engine = resolve_backend_engine(
-            detector, "compiled" if self._incremental else backend
-        )
+        if backend in (None, "compiled", "incremental"):
+            self._engine = detector.compile()
+        else:
+            from ..runtime import CompiledDetector
+
+            if not isinstance(backend, CompiledDetector):
+                error = ValueError if isinstance(backend, str) else TypeError
+                raise error(
+                    "backend must be None, 'compiled', 'incremental' or a CompiledDetector, "
+                    f"got {backend!r}"
+                )
+            if backend.num_variates != model.num_variates:
+                raise ValueError(
+                    f"compiled plan serves {backend.num_variates} variates, "
+                    f"detector has {model.num_variates}"
+                )
+            self._engine = backend
+        if self._engine.model.graph_mode == "dynamic":
+            _check_dynamic_shards(num_shards)
+            # A dynamic-graph model starts its smoothed-adjacency state fresh.
+            self._engine.reset_dynamic_state()
         self._inc_state = None
         self._inc_retired = {"ticks": 0, "incremental_ticks": 0, "rebuilds": 0, "fallback_ticks": 0}
         self.backend = "incremental" if self._incremental else "compiled"
 
         window = self.config.window
         # Shards share one exposure timeline, stitched to the training tail
-        # (or to row indices) under the same mode-locking rules as a single
-        # stream.
+        # (or to row indices) under StreamTimeline's mode-locking rules.
         self._buffers, self._timeline = seed_stream_state(detector, num_shards, seed_context)
         self._step = 0
         # Reusable micro-batch staging arrays: one slot per shard, filled by
@@ -378,12 +404,12 @@ class FleetManager:
         :class:`~repro.runtime.CompiledDetector`, or a path to a saved
         detector artifact — e.g. a freshly retrained model published through
         a :class:`repro.training.ModelRegistry`.  The new model must serve
-        the same variates and window geometry (dynamic-graph detectors stay
-        rejected, as at construction).  Every shard's ring buffer is
-        re-expressed under the new model's scaler in place, so the next
-        :meth:`step` serves the new model's scores with the full window
-        history intact; the shared timeline and alert-policy state carry
-        over unchanged.  In ``threshold_mode="per_star"`` the adaptive
+        the same variates and window geometry (dynamic-graph detectors only
+        into a one-shard fleet, as at construction).  Every shard's ring
+        buffer is re-expressed under the new model's scaler in place, so
+        the next :meth:`step` serves the new model's scores with the full
+        window history intact; the shared timeline and alert-policy state
+        carry over unchanged.  In ``threshold_mode="per_star"`` the adaptive
         threshold state (excess sets, observation counts, re-fit cadence)
         also carries across the swap and keeps adapting.
 
@@ -394,22 +420,62 @@ class FleetManager:
         a value recalibrated on the new model's scores (e.g. over a held-out
         quiet stretch) to keep serving an override across the swap.
         """
-        target = resolve_swap_source(source, dtype=self._engine.dtype)
-        check_swap_compatible(target, self.num_variates, self.config)
-        if target.graph_mode == "dynamic":
-            raise ValueError("FleetManager does not support graph_mode='dynamic' detectors")
-        rescale_buffer_rows(self._buffers, self._scaler, target.scaler)
+        from ..runtime import CompiledDetector
 
-        self.detector = target.detector
-        self.config = target.config
-        self._scaler = target.scaler
-        self._engine = target.engine
+        if isinstance(source, (str, Path)):
+            from ..core.detector import AeroDetector
+
+            source = AeroDetector.load(source)
+        if isinstance(source, CompiledDetector):
+            detector, engine = None, source
+            new_threshold = source.threshold
+        elif hasattr(source, "_require_fitted"):
+            source._require_fitted()
+            # Compiled at the serving engine's dtype, so the swap keeps the
+            # serving precision.
+            detector, engine = source, source.compile(dtype=self._engine.dtype)
+            new_threshold = source.threshold()
+        else:
+            raise TypeError(
+                "swap source must be a fitted AeroDetector, a CompiledDetector or a "
+                f"checkpoint path, got {type(source).__name__}"
+            )
+        config = engine.config
+        if engine.num_variates != self.num_variates:
+            raise ValueError(
+                f"cannot hot-swap: new model serves {engine.num_variates} variates, "
+                f"fleet serves {self.num_variates}"
+            )
+        if config.window != self.config.window or config.short_window != self.config.short_window:
+            raise ValueError(
+                "cannot hot-swap: window geometry changed "
+                f"(W={config.window}, omega={config.short_window} vs "
+                f"serving W={self.config.window}, omega={self.config.short_window}); "
+                "start a fresh fleet for the new geometry"
+            )
+        if engine.model.graph_mode == "dynamic":
+            _check_dynamic_shards(self.num_shards)
+            # A dynamic-graph model starts its smoothed-adjacency state fresh,
+            # exactly as a newly constructed fleet would.
+            engine.reset_dynamic_state()
+        # Buffered rows are normalised by the serving scaler; re-express them
+        # under the new one so the next tick scores the new model over the
+        # full window history, with no warm-up and nothing dropped.
+        for buffer in self._buffers:
+            rows = buffer.view()
+            if len(rows):
+                rows[:] = engine.scaler.transform(self._scaler.inverse_transform(rows))
+
+        self.detector = detector
+        self.config = config
+        self._scaler = engine.scaler
+        self._engine = engine
         if self._incremental:
             # The old state's cached history was built under the old model
             # and scaler, so it is discarded (its accounting folds into the
             # running totals) and rebuilt on the next tick.
             self._retire_inc_state()
-        self.threshold = target.threshold if threshold is None else float(threshold)
+        self.threshold = new_threshold if threshold is None else float(threshold)
         # A raw-source swap leaves the registry-version label unknown;
         # ModelRegistry.deploy re-stamps it after calling us.
         self.model_version = None
@@ -546,8 +612,13 @@ class FleetManager:
 
             window = self.config.window
             if any_missing:
+                # A missing star carries its last buffered (scaled) value
+                # forward, or the scaled-space origin in a cold buffer; only
+                # its score is masked, the model input stays finite.
                 for shard in np.flatnonzero(missing.any(axis=1)):
-                    impute_missing_row(scaled[shard], missing[shard], self._buffers[shard])
+                    buffer = self._buffers[shard]
+                    gaps = missing[shard]
+                    scaled[shard, gaps] = buffer.view(1)[0][gaps] if len(buffer) else 0.0
             for shard, buffer in enumerate(self._buffers):
                 buffer.append(scaled[shard])
             step_index = self._step

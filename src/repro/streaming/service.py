@@ -1,5 +1,9 @@
 """Minimal ingestion service: a bounded queue in front of the fleet.
 
+The one serving front is :class:`~repro.streaming.fleet.FleetManager`; a
+single stream (``AeroDetector.stream()``) is its one-shard case and sits
+behind the same queue, submitting ``(1, N)`` rows.
+
 Real survey pipelines decouple camera readout from scoring with a queue.
 :class:`StreamingService` reproduces that shape in-process:
 
@@ -71,7 +75,7 @@ class ServiceStats:
 
 
 class StreamingService:
-    """Bounded-queue ingestion loop around a fleet (or single-stream) scorer.
+    """Bounded-queue ingestion loop around a fleet (a single stream is a one-shard fleet).
 
     Parameters
     ----------
@@ -277,8 +281,8 @@ class StreamingService:
                 # One sample is no distribution; report it verbatim instead
                 # of interpolating percentiles out of it.
                 p50 = p99 = float(latencies[0])
-            # A FleetManager advertises its star count; for a bare
-            # StreamingDetector (or any duck-typed scorer) fall back to the
+            # A FleetManager advertises its star count; for a duck-typed
+            # scorer without one fall back to the
             # variate count actually scored per step, never to 1 — the old
             # fallback under-reported throughput N-fold.
             num_stars = getattr(self.fleet, "num_stars", None)

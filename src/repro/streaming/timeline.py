@@ -1,10 +1,10 @@
-"""Shared timestamp policy for the streaming front-ends.
+"""Timestamp policy for the serving front-end.
 
-Both :class:`~repro.streaming.online_detector.StreamingDetector` and
-:class:`~repro.streaming.fleet.FleetManager` must stitch arriving
-observation times onto the detector's training-tail context exactly the way
-the batch path does, and must commit to one timeline for the life of the
-stream.  :class:`StreamTimeline` owns that rule in one place:
+:class:`~repro.streaming.fleet.FleetManager` (and so every single stream,
+a one-shard fleet) must stitch arriving observation times onto the
+detector's training-tail context exactly the way the batch path does, and
+must commit to one timeline for the life of the stream.
+:class:`StreamTimeline` owns that rule in one place:
 
 * real caller timestamps are honoured only when they can be stitched to a
   consistent context timeline — the detector stored tail timestamps, or
@@ -26,12 +26,11 @@ __all__ = ["StreamTimeline", "seed_stream_state"]
 
 
 def seed_stream_state(detector, num_buffers: int, seed_context: bool):
-    """Build seeded value buffers and a timeline for a streaming front-end.
+    """Build seeded value buffers and a timeline for a fleet's shards.
 
-    Shared by :class:`~repro.streaming.online_detector.StreamingDetector`
-    (one buffer) and :class:`~repro.streaming.fleet.FleetManager` (one per
-    shard) so the context contract — which rows and timestamps are stitched
-    in front of the stream — has exactly one implementation.
+    One buffer per shard of a :class:`~repro.streaming.fleet.FleetManager`;
+    the context contract — which rows and timestamps are stitched in front
+    of the stream — has exactly one implementation.
 
     Returns ``(buffers, timeline)``.
     """

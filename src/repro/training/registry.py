@@ -5,8 +5,8 @@ publishes ``AeroDetector.save()`` artifacts under a model name, serving
 resolves the latest (or a pinned) version and loads it back — as a plain
 detector, or compiled straight into the tape-free plans of
 :mod:`repro.runtime` — and :meth:`ModelRegistry.deploy` hands it to a
-running :class:`~repro.streaming.FleetManager` /
-:class:`~repro.streaming.StreamingDetector` for a hot swap that keeps every
+running :class:`~repro.streaming.FleetManager` (a single
+``AeroDetector.stream()`` included) for a hot swap that keeps every
 buffered window.
 
 Layout (one directory per name, one immutable directory per version)::
@@ -45,7 +45,6 @@ server never observes a half-written version.
 
 from __future__ import annotations
 
-import inspect
 import json
 import logging
 import re
@@ -243,8 +242,7 @@ class ModelRegistry:
         threshold state alongside the model: a
         :class:`repro.streaming.VectorizedIncrementalPOT`, any serving
         front-end exposing ``threshold_state()`` (a per-star
-        :class:`~repro.streaming.FleetManager` or
-        :class:`~repro.streaming.StreamingDetector`), or a plain state
+        :class:`~repro.streaming.FleetManager`), or a plain state
         dict.  ``drift_reference`` likewise snapshots the drift-monitoring
         reference sketch: a fitted :class:`repro.obs.DriftMonitor`, a
         front-end exposing ``drift_state()``, or its state dict.  Returns
@@ -389,9 +387,8 @@ class ModelRegistry:
     ):
         """Hot-swap a published version into a running serving front-end.
 
-        ``target`` is anything exposing ``swap_model`` — a
-        :class:`~repro.streaming.FleetManager` or
-        :class:`~repro.streaming.StreamingDetector`.  With ``dtype`` given,
+        ``target`` is anything exposing ``swap_model(model, threshold=...)``
+        — a :class:`~repro.streaming.FleetManager`.  With ``dtype`` given,
         the version is compiled at that precision; otherwise the target
         keeps its current backend kind and precision.
 
@@ -473,7 +470,7 @@ class ModelRegistry:
             model = self.load_compiled(name, resolved.version, dtype=dtype)
         else:
             model = self.load_detector(name, resolved.version)
-        self._swap(target, model, swap_threshold)
+        target.swap_model(model, threshold=swap_threshold)
         try:
             if state is not None:
                 target.load_threshold_state(state)
@@ -486,7 +483,7 @@ class ModelRegistry:
             # calibration (or half of each): swap the previous model back so
             # the pair stays consistent, then surface the failure.
             if prior_detector is not None:
-                self._swap(target, prior_detector, prior_threshold)
+                target.swap_model(prior_detector, threshold=prior_threshold)
                 if hasattr(target, "model_version"):
                     target.model_version = prior_version
                 logger.error(
@@ -557,24 +554,6 @@ class ModelRegistry:
             warnings.warn(message, RuntimeWarning, stacklevel=3)
             logger.warning("[registry] %s", message)
         return None
-
-    @staticmethod
-    def _swap(target, model, threshold: float | None) -> None:
-        """``swap_model`` with the threshold applied atomically when possible.
-
-        :class:`~repro.streaming.FleetManager` accepts the threshold as a
-        swap argument; front-ends without the parameter (e.g.
-        :class:`~repro.streaming.StreamingDetector`) get it assigned right
-        after the swap instead.
-        """
-        if threshold is None:
-            target.swap_model(model)
-            return
-        if "threshold" in inspect.signature(target.swap_model).parameters:
-            target.swap_model(model, threshold=float(threshold))
-            return
-        target.swap_model(model)
-        target.threshold = float(threshold)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -83,7 +83,7 @@ def test_every_variant_verifies_clean(compiled_models, variant, conditioning):
     compiled = compiled_models(variant, conditioning)
     report = verify_detector(compiled)
     assert report.ok, "\n".join(issue.format() for issue in report.issues)
-    assert report.layouts == ("stack", "windows")
+    assert report.ticks > 0
     assert report.arrays_checked > 0
 
 
@@ -166,8 +166,8 @@ class TestStructuralDiagnostics:
             model.noise.weight = saved
 
 
-def _warm_state(compiled, layout="stack", num_stacks=2, seed=5):
-    state = compiled.new_incremental_state(num_stacks, layout=layout)
+def _warm_state(compiled, num_stacks=2, seed=5):
+    state = compiled.new_incremental_state(num_stacks)
     rng = np.random.default_rng(seed)
     stack = rng.random((num_stacks, WINDOW, NUM_VARIATES))
     state.rebuild(stack, np.arange(WINDOW, dtype=np.float64))
@@ -230,10 +230,10 @@ class TestStateDiagnostics:
         )
 
     def test_mislaid_errors_workspace(self, compiled_models):
-        # A multivariate model in "stack" layout stages errors transposed —
+        # A multivariate model stages errors transposed like score_stack —
         # the raw workspace is (S, omega, N); a C-ordered (S, N, omega)
-        # buffer is score_windows' world and would shift the GCN by an ulp.
-        state = _warm_state(compiled_models("no_univariate_input"), layout="stack")
+        # buffer would shift the GCN by an ulp.
+        state = _warm_state(compiled_models("no_univariate_input"))
         assert "model.errors" in state.arena._buffers
         assert state.arena._buffers["model.errors"].shape == (state.num_stacks, SHORT, NUM_VARIATES)
         state.arena._buffers["model.errors"] = np.empty(

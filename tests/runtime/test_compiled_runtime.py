@@ -16,7 +16,7 @@ from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
 from repro.nn import Tensor
 from repro.runtime import compile_detector
-from repro.streaming import AlertPolicy, FleetManager, StreamingDetector
+from repro.streaming import AlertPolicy, FleetManager
 
 VARIANTS = sorted(ABLATION_VARIANTS)
 
@@ -36,6 +36,11 @@ def _fast_config(**overrides):
     )
     settings.update(overrides)
     return AeroConfig(**settings)
+
+
+def _stream_scores(stream, series):
+    """``(T, N)`` scores of a single stream (a one-shard fleet) over ``series``."""
+    return np.stack([result.scores[0] for result in stream.run(series[:, None, :])])
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +262,12 @@ class TestLivePlanScoring:
         # Regression: a batch score() between two stream steps used to reset
         # and then advance the smoothed adjacency the stream was carrying.
         det = fitted_variants["dynamic_graph"]
-        reference = det.stream(backend=backend).score_series(test_series)
+        reference = _stream_scores(det.stream(backend=backend), test_series)
         stream = det.stream(backend=backend)
         half = len(test_series) // 2
-        first = stream.score_series(test_series[:half])
+        first = _stream_scores(stream, test_series[:half])
         det.score(test_series[::-1])
-        rest = stream.score_series(test_series[half:])
+        rest = _stream_scores(stream, test_series[half:])
         assert np.array_equal(reference, np.concatenate([first, rest]))
 
     @pytest.mark.parametrize("variant", ["full", "dynamic_graph", "static_graph"])
@@ -296,22 +301,21 @@ class TestStreamingOnCompiledBackend:
         batch_scores = detector.score(test_series)
         stream = detector.stream(backend="compiled")
         assert stream.backend == "compiled"
-        assert np.array_equal(stream.score_series(test_series), batch_scores)
+        assert np.array_equal(_stream_scores(stream, test_series), batch_scores)
 
     def test_stream_accepts_prebuilt_plan(self, detector, test_series):
         plan = compile_detector(detector, dtype="float32")
-        stream = StreamingDetector(detector, backend=plan)
-        scores = stream.score_series(test_series)
+        scores = _stream_scores(detector.stream(backend=plan), test_series)
         np.testing.assert_allclose(scores, detector.score(test_series), atol=1e-5, rtol=1e-4)
 
     def test_stream_rejects_foreign_backends(self, detector):
         with pytest.raises(TypeError, match="CompiledDetector"):
-            StreamingDetector(detector, backend=object())
+            detector.stream(backend=object())
 
     def test_dynamic_graph_stream_compiled(self, fitted_variants, test_series):
         det = fitted_variants["dynamic_graph"]
         batch_scores = det.score(test_series)
-        stream_scores = det.stream(backend="compiled").score_series(test_series)
+        stream_scores = _stream_scores(det.stream(backend="compiled"), test_series)
         assert np.array_equal(stream_scores, batch_scores)
 
 

@@ -225,11 +225,6 @@ class TestStateLifecycle:
         with pytest.raises(ValueError, match="rows must have shape"):
             state.append(scaled[0])
 
-    def test_layout_is_validated(self, fitted_variants):
-        compiled = compile_detector(fitted_variants["full"])
-        with pytest.raises(ValueError, match="layout"):
-            compiled.new_incremental_state(NUM_STACKS, layout="diagonal")
-
 
 class TestTimeEmbeddingMemo:
     def test_hot_key_survives_cache_overflow(self, fitted_variants):

@@ -1,11 +1,12 @@
 """Serving-front tests for ``backend="incremental"``.
 
-The streaming contract: a fleet or stream on the incremental backend must
-emit bit-identical scores, labels and thresholds to the same front on the
-compiled backend — through warm-up, missing observations, dropout/rejoin
-re-arm guards, duplicate and out-of-order frames, and hot model swaps
-(each swap discards the cross-tick state, which transparently rebuilds
-from the ring buffers on the next tick).
+The streaming contract: a fleet (or a single stream, its one-shard case)
+on the incremental backend must emit bit-identical scores, labels and
+thresholds to the same front on the compiled backend — through warm-up,
+missing observations, dropout/rejoin re-arm guards, duplicate and
+out-of-order frames, and hot model swaps (each swap discards the cross-tick
+state, which transparently rebuilds from the ring buffers on the next
+tick).
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.core.variants import build_variant
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import compile_detector
 from repro.simulation import ReplayHarness, ScenarioConfig, build_scenario
-from repro.streaming import FleetManager, StreamingDetector
+from repro.streaming import FleetManager
 
 NUM_SHARDS = 2
 NUM_VARIATES = 4
@@ -195,11 +196,13 @@ class TestFleetIncrementalBackend:
 
 
 class TestStreamIncrementalBackend:
+    """A single stream (``detector.stream()``, a one-shard fleet)."""
+
     def test_chunked_micro_batches_match_compiled(self, scenario, detector):
         # The reference stream gets its own engine object so nothing is
         # shared with the incremental stream's cached one.
-        stream_compiled = StreamingDetector(detector, backend=compile_detector(detector))
-        stream_incremental = StreamingDetector(detector, backend="incremental")
+        stream_compiled = detector.stream(backend=compile_detector(detector))
+        stream_incremental = detector.stream(backend="incremental")
         assert stream_incremental.backend == "incremental"
         series = scenario.train[-60:].copy()
         series[12, 1] = np.nan
@@ -207,65 +210,44 @@ class TestStreamIncrementalBackend:
         series[30] = np.nan
         cursor = 0
         for chunk in (7, 1, 13, 5, 20, 11, 3):
-            rows = series[cursor : cursor + chunk]
+            rows = series[cursor : cursor + chunk, None, :]
             cursor += chunk
-            results_compiled = stream_compiled.step_many(rows)
-            results_incremental = stream_incremental.step_many(rows)
             for result_compiled, result_incremental in zip(
-                results_compiled, results_incremental
+                stream_compiled.run(rows), stream_incremental.run(rows)
             ):
-                assert result_compiled.index == result_incremental.index
                 assert result_compiled.ready == result_incremental.ready
-                assert np.array_equal(
-                    result_compiled.scores, result_incremental.scores, equal_nan=True
-                )
-                assert np.array_equal(result_compiled.labels, result_incremental.labels)
+                _assert_results_equal(result_compiled, result_incremental, f"tick {cursor}")
 
     def test_hot_swap_mid_stream(self, scenario, detector, swap_detector):
-        stream_compiled = StreamingDetector(detector, backend=compile_detector(detector))
-        stream_incremental = StreamingDetector(detector, backend="incremental")
+        stream_compiled = detector.stream(backend=compile_detector(detector))
+        stream_incremental = detector.stream(backend="incremental")
         series = scenario.train[-50:]
         for tick in range(len(series)):
             if tick == 20:
                 stream_compiled.swap_model(swap_detector)
                 stream_incremental.swap_model(swap_detector)
                 assert stream_incremental.backend == "incremental"
-            result_compiled = stream_compiled.step(series[tick])
-            result_incremental = stream_incremental.step(series[tick])
-            assert np.array_equal(
-                result_compiled.scores, result_incremental.scores, equal_nan=True
-            ), f"tick {tick}"
-            assert np.array_equal(result_compiled.labels, result_incremental.labels)
+            result_compiled = stream_compiled.step(series[tick][None])
+            result_incremental = stream_incremental.step(series[tick][None])
+            _assert_results_equal(result_compiled, result_incremental, f"tick {tick}")
 
     def test_univariate_stream_matches_batch_scores(self, scenario, detector):
-        # The per-stream serving path is score_windows, which for the
-        # univariate fold is bit-identical to batch scoring; the incremental
-        # backend must preserve that equivalence end to end.
-        stream_incremental = StreamingDetector(detector, backend="incremental")
+        # The incremental backend must preserve the stream/batch contract
+        # end to end (the full matrix lives in test_stream_batch_contract).
+        stream_incremental = detector.stream(backend="incremental")
         series = scenario.train[-70:]
-        streamed = stream_incremental.score_series(series)
+        results = stream_incremental.run(series[:, None, :])
+        streamed = np.stack([result.scores[0] for result in results])
         batch = detector.score(series)
         assert np.array_equal(streamed, batch, equal_nan=True)
 
     def test_adaptive_pot_rides_along(self, scenario, detector):
-        stream_compiled = StreamingDetector(
-            detector, backend=compile_detector(detector), adaptive_pot=True
+        stream_compiled = detector.stream(
+            backend=compile_detector(detector), threshold_mode="per_star"
         )
-        stream_incremental = StreamingDetector(
-            detector, backend="incremental", adaptive_pot=True
-        )
+        stream_incremental = detector.stream(backend="incremental", threshold_mode="per_star")
         series = scenario.train[-40:]
         for tick in range(len(series)):
-            result_compiled = stream_compiled.step(series[tick])
-            result_incremental = stream_incremental.step(series[tick])
-            assert np.array_equal(
-                result_compiled.scores, result_incremental.scores, equal_nan=True
-            )
-            if result_compiled.adaptive_threshold is None:
-                assert result_incremental.adaptive_threshold is None
-            else:
-                assert np.array_equal(
-                    result_compiled.adaptive_threshold,
-                    result_incremental.adaptive_threshold,
-                    equal_nan=True,
-                )
+            result_compiled = stream_compiled.step(series[tick][None])
+            result_incremental = stream_incremental.step(series[tick][None])
+            _assert_results_equal(result_compiled, result_incremental, f"tick {tick}")

@@ -12,7 +12,6 @@ from repro.streaming import (
     AlertPolicy,
     FleetManager,
     IncrementalPOT,
-    StreamingDetector,
     StreamingService,
     VectorizedIncrementalPOT,
 )
@@ -127,23 +126,25 @@ class TestAlertPolicyNaN:
 
 
 class TestStreamingDetectorNaN:
+    """A single stream (``detector.stream()``, a one-shard fleet)."""
+
     def test_single_gap_does_not_poison_later_ticks(self, fitted):
         detector, dataset = fitted
-        stream = StreamingDetector(detector)
+        stream = detector.stream()
         clean = detector.stream()
         test = dataset.test[:30].copy()
         gap_tick, gap_star = 10, 2
         gappy = test.copy()
         gappy[gap_tick, gap_star] = np.nan
 
-        gap_results = [stream.step(row) for row in gappy]
-        clean_results = [clean.step(row) for row in test]
+        gap_results = stream.run(gappy[:, None, :])
+        clean_results = clean.run(test[:, None, :])
 
         # The gap tick masks exactly the missing star.
-        assert np.isnan(gap_results[gap_tick].scores[gap_star])
-        finite = np.delete(gap_results[gap_tick].scores, gap_star)
+        assert np.isnan(gap_results[gap_tick].scores[0, gap_star])
+        finite = np.delete(gap_results[gap_tick].scores[0], gap_star)
         assert np.isfinite(finite).all()
-        assert gap_results[gap_tick].labels[gap_star] == 0
+        assert gap_results[gap_tick].labels[0, gap_star] == 0
         # Every later tick emits fully finite scores again (no NaN poisoning
         # of the ring buffer for the next W steps).
         for result in gap_results[gap_tick + 1 :]:
@@ -154,22 +155,23 @@ class TestStreamingDetectorNaN:
 
     def test_adaptive_pot_skips_gap_ticks(self, fitted):
         detector, dataset = fitted
-        stream = StreamingDetector(detector, adaptive_pot=True)
+        stream = detector.stream(threshold_mode="per_star")
         observations = stream.adaptive_pot.num_observations.copy()
         row = dataset.test[0].copy()
         row[:] = np.nan
-        stream.step(row)
+        stream.step(row[None])
         np.testing.assert_array_equal(stream.adaptive_pot.num_observations, observations)
 
     def test_consecutive_gaps_carry_last_value_forward(self, fitted):
         detector, dataset = fitted
-        stream = StreamingDetector(detector)
-        stream.step(dataset.test[0])
-        last_scaled = stream._buffer.view(1)[0].copy()
-        gap = np.full(detector.model.num_variates, np.nan)
+        stream = detector.stream()
+        stream.step(dataset.test[0][None])
+        buffer = stream._buffers[0]
+        last_scaled = buffer.view(1)[0].copy()
+        gap = np.full((1, detector.model.num_variates), np.nan)
         stream.step(gap)
         stream.step(gap)
-        np.testing.assert_array_equal(stream._buffer.view(1)[0], last_scaled)
+        np.testing.assert_array_equal(buffer.view(1)[0], last_scaled)
 
 
 class TestFleetNaN:
@@ -337,21 +339,19 @@ class TestNonFiniteTimestamps:
     def test_stream_rejects_and_retry_is_bit_identical(self, fitted, backend):
         detector, dataset = fitted
         window = detector.config.window
-        streams = [
-            StreamingDetector(detector, seed_context=False, backend=backend) for _ in range(2)
-        ]
+        streams = [detector.stream(seed_context=False, backend=backend) for _ in range(2)]
         ticks = 2 * window + 6
         times = self._times(ticks)
         bad_tick = window + 4
         for tick in range(ticks):
             if tick == bad_tick:
                 with pytest.raises(ValueError, match="finite"):
-                    streams[0].step(dataset.test[tick], np.nan)
+                    streams[0].step(dataset.test[tick][None], np.nan)
                 with pytest.raises(ValueError, match="finite"):
-                    streams[0].step_many(
-                        dataset.test[tick : tick + 2], [times[tick], np.nan]
-                    )
-            mine, theirs = (stream.step(dataset.test[tick], times[tick]) for stream in streams)
+                    streams[0].step(dataset.test[tick][None], np.inf)
+            mine, theirs = (
+                stream.step(dataset.test[tick][None], times[tick]) for stream in streams
+            )
             np.testing.assert_array_equal(mine.scores, theirs.scores)
             if tick >= window - 1:
                 assert np.isfinite(mine.scores).all()

@@ -12,7 +12,6 @@ from repro.streaming import (
     FleetManager,
     IncrementalPOT,
     RingBuffer,
-    StreamingDetector,
     StreamingService,
 )
 
@@ -101,66 +100,68 @@ def fitted():
 
 
 class TestStreamingEquivalence:
+    """``detector.stream()`` is a one-shard fleet: ``(1, N)`` rows in."""
+
+    @staticmethod
+    def stream_scores(stream, series, timestamps=None):
+        results = stream.run(np.asarray(series)[:, None, :], timestamps)
+        return np.stack([result.scores[0] for result in results])
+
     def test_score_series_matches_batch_bit_for_bit(self, fitted):
         detector, dataset = fitted
         batch_scores = detector.score(dataset.test)
-        stream_scores = detector.stream().score_series(dataset.test)
+        stream_scores = self.stream_scores(detector.stream(), dataset.test)
         assert np.array_equal(batch_scores, stream_scores)
 
     def test_score_series_matches_batch_with_timestamps(self, fitted):
         detector, dataset = fitted
         batch_scores = detector.score(dataset.test, dataset.test_timestamps)
-        stream = StreamingDetector(detector)
-        stream_scores = stream.score_series(dataset.test, dataset.test_timestamps)
+        stream = FleetManager(detector, num_shards=1)
+        stream_scores = self.stream_scores(stream, dataset.test, dataset.test_timestamps)
         assert np.array_equal(batch_scores, stream_scores)
 
     def test_step_by_step_matches_batch(self, fitted):
         detector, dataset = fitted
         batch_scores = detector.score(dataset.test)
         stream = detector.stream()
-        per_step = np.stack([stream.step(row).scores for row in dataset.test])
-        np.testing.assert_allclose(per_step, batch_scores, rtol=0, atol=1e-10)
+        per_step = np.stack([stream.step(row[None]).scores[0] for row in dataset.test])
+        assert np.array_equal(per_step, batch_scores)
 
     def test_labels_match_detect(self, fitted):
         detector, dataset = fitted
         batch_labels = detector.detect(dataset.test)
-        stream_labels = detector.stream().detect_series(dataset.test)
+        results = detector.stream().run(dataset.test[:, None, :])
+        stream_labels = np.stack([result.labels[0] for result in results])
         assert np.array_equal(batch_labels, stream_labels)
-
-    def test_micro_batch_sizes_do_not_change_scores(self, fitted):
-        detector, dataset = fitted
-        reference = detector.stream().score_series(dataset.test)
-        stream = detector.stream()
-        chunks = [dataset.test[i : i + 7] for i in range(0, len(dataset.test), 7)]
-        collected = [r.scores for chunk in chunks for r in stream.step_many(chunk)]
-        np.testing.assert_allclose(np.stack(collected), reference, rtol=0, atol=1e-10)
 
     def test_stream_requires_fitted_detector(self):
         with pytest.raises(RuntimeError):
-            StreamingDetector(AeroDetector(AeroConfig.fast()))
+            AeroDetector(AeroConfig.fast()).stream()
 
     def test_step_validates_row_shape(self, fitted):
-        detector, _ = fitted
+        detector, dataset = fitted
         stream = detector.stream()
         with pytest.raises(ValueError):
             stream.step(np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            stream.step(dataset.test[0])  # rows go in as (1, N)
 
     def test_timestamp_mode_is_locked(self, fitted):
         detector, dataset = fitted
-        stream = StreamingDetector(detector)
-        stream.step(dataset.test[0], timestamp=float(dataset.test_timestamps[0]))
+        stream = detector.stream()
+        stream.step(dataset.test[0][None], timestamp=float(dataset.test_timestamps[0]))
         with pytest.raises(ValueError):
-            stream.step(dataset.test[1])
+            stream.step(dataset.test[1][None])
 
     def test_late_timestamps_raise_instead_of_silently_dropping(self, fitted):
         # Symmetric with the real->missing direction: once the stream locked
         # into index mode while real times were available, supplying one
         # later is an inconsistency, not a no-op.
         detector, dataset = fitted
-        stream = StreamingDetector(detector)
-        stream.step(dataset.test[0])
+        stream = detector.stream()
+        stream.step(dataset.test[0][None])
         with pytest.raises(ValueError):
-            stream.step(dataset.test[1], timestamp=float(dataset.test_timestamps[1]))
+            stream.step(dataset.test[1][None], timestamp=float(dataset.test_timestamps[1]))
 
     def test_timestamps_ignored_when_detector_has_no_tail_times(self, fitted):
         # Batch parity: a detector fitted without timestamps ignores caller
@@ -169,25 +170,26 @@ class TestStreamingEquivalence:
         no_times = AeroDetector(detector.config)
         no_times.fit(dataset.train)  # no timestamps stored
         batch_scores = no_times.score(dataset.test, dataset.test_timestamps)
-        stream = no_times.stream()
-        stream_scores = stream.score_series(dataset.test, dataset.test_timestamps)
+        stream_scores = self.stream_scores(
+            no_times.stream(), dataset.test, dataset.test_timestamps
+        )
         assert np.array_equal(batch_scores, stream_scores)
 
     def test_adaptive_pot_tracks_per_star_thresholds(self, fitted):
         detector, dataset = fitted
-        stream = detector.stream(adaptive_pot=True, pot_refit_interval=8)
+        stream = detector.stream(threshold_mode="per_star", pot_refit_interval=8)
         result = None
         for row in dataset.test[:10]:
-            result = stream.step(row)
-        assert result.adaptive_threshold is not None
-        assert result.adaptive_threshold.shape == (stream.num_variates,)
-        assert np.isfinite(result.adaptive_threshold).all()
+            result = stream.step(row[None])
+        assert result.thresholds.shape == (1, stream.num_variates)
+        assert np.isfinite(result.thresholds).all()
 
     def test_adaptive_pot_matches_scalar_per_variate_reference(self, fitted):
         # The stream's vectorized POT must equal one scalar IncrementalPOT
-        # per variate, calibrated on that variate's training scores.
+        # per variate, calibrated on that variate's training scores, and
+        # label each tick against the per-star thresholds it held before.
         detector, dataset = fitted
-        stream = detector.stream(adaptive_pot=True, pot_refit_interval=8)
+        stream = detector.stream(threshold_mode="per_star", pot_refit_interval=8)
         train = np.asarray(detector.train_scores_)
         refs = [
             IncrementalPOT(
@@ -196,22 +198,24 @@ class TestStreamingEquivalence:
             for v in range(stream.num_variates)
         ]
         for row in dataset.test[:20]:
-            result = stream.step(row)
-            for ref, score in zip(refs, result.scores):
-                ref.update(float(score))
-            np.testing.assert_array_equal(
-                result.adaptive_threshold, [ref.threshold for ref in refs]
-            )
+            result = stream.step(row[None])
+            np.testing.assert_array_equal(result.thresholds[0], [ref.threshold for ref in refs])
+            expected = [ref.update(float(score)) for ref, score in zip(refs, result.scores[0])]
+            np.testing.assert_array_equal(result.labels[0], expected)
+        np.testing.assert_array_equal(
+            stream.adaptive_pot.thresholds, [ref.threshold for ref in refs]
+        )
 
     def test_threshold_state_round_trip(self, fitted):
         detector, dataset = fitted
-        stream = detector.stream(adaptive_pot=True)
+        stream = detector.stream(threshold_mode="per_star")
         for row in dataset.test[:10]:
-            stream.step(row)
+            stream.step(row[None])
         state = stream.threshold_state()
-        other = detector.stream(adaptive_pot=False)
+        other = detector.stream()
         assert other.threshold_state() is None
         other.load_threshold_state(state)
+        assert other.threshold_mode == "per_star"
         np.testing.assert_array_equal(
             other.adaptive_pot.thresholds, stream.adaptive_pot.thresholds
         )
@@ -231,20 +235,19 @@ class TestStreamingWarmup:
         test = rng.normal(size=(40, 3))
         detector = AeroDetector(config).fit(train)
         batch_scores = detector.score(test)
-        stream = detector.stream()
-        stream_scores = stream.score_series(test)
+        stream_scores = TestStreamingEquivalence.stream_scores(detector.stream(), test)
         assert np.array_equal(batch_scores, stream_scores)
 
     def test_cold_start_warmup_reports_not_ready(self, fitted):
         detector, dataset = fitted
         stream = detector.stream(seed_context=False)
-        first = stream.step(dataset.test[0])
+        first = stream.step(dataset.test[0][None])
         assert not first.ready
         assert np.isnan(first.scores).all()
-        assert not stream.warmed_up
+        assert not stream.health().warmed_up
         for t in range(1, detector.config.window):
-            result = stream.step(dataset.test[t])
-        assert result.ready and stream.warmed_up
+            result = stream.step(dataset.test[t][None])
+        assert result.ready and stream.health().warmed_up
         assert np.isfinite(result.scores).all()
 
 
@@ -394,6 +397,8 @@ class TestAlertPolicy:
 
 class TestFleetManager:
     def test_fleet_matches_single_stream(self, fitted):
+        # Shards are independent batch elements: every shard of a fleet
+        # scores what a one-shard stream scores on the same rows.
         detector, dataset = fitted
         num_shards = 3
         fleet = FleetManager(detector, num_shards=num_shards,
@@ -402,24 +407,24 @@ class TestFleetManager:
         for t in range(12):
             rows = np.stack([dataset.test[t]] * num_shards)
             fleet_result = fleet.step(rows)
-            stream_result = stream.step(dataset.test[t])
+            stream_result = stream.step(dataset.test[t][None])
             for shard in range(num_shards):
                 np.testing.assert_allclose(
-                    fleet_result.scores[shard], stream_result.scores, rtol=0, atol=1e-10
+                    fleet_result.scores[shard], stream_result.scores[0], rtol=0, atol=1e-10
                 )
 
     def test_fleet_with_real_timestamps_matches_stream(self, fitted):
         detector, dataset = fitted
         fleet = FleetManager(detector, num_shards=2)
-        stream = StreamingDetector(detector)
+        stream = detector.stream()
         for t in range(12):
             rows = np.stack([dataset.test[t]] * 2)
             timestamp = float(dataset.test_timestamps[t])
             fleet_result = fleet.step(rows, timestamp)
-            stream_result = stream.step(dataset.test[t], timestamp)
+            stream_result = stream.step(dataset.test[t][None], timestamp)
             for shard in range(2):
                 np.testing.assert_allclose(
-                    fleet_result.scores[shard], stream_result.scores, rtol=0, atol=1e-10
+                    fleet_result.scores[shard], stream_result.scores[0], rtol=0, atol=1e-10
                 )
 
     def test_fleet_timestamp_mode_is_locked(self, fitted):
@@ -638,12 +643,12 @@ class TestStreamingService:
         assert service.stats().processed_steps == 5
 
     def test_throughput_counts_variates_of_a_bare_stream(self, fitted):
-        # Wrapping a StreamingDetector (no num_stars property) must fall back
-        # to the scored variate count, not to 1 star.
+        # A single stream (a one-shard fleet) scores N variates per step,
+        # not 1 star.
         detector, dataset = fitted
-        service = StreamingService(StreamingDetector(detector))
+        service = StreamingService(detector.stream())
         for t in range(4):
-            service.submit(dataset.test[t])
+            service.submit(dataset.test[t][None])
         service.drain()
         stats = service.stats()
         mean_seconds = stats.mean_latency_ms / 1e3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AeroDetector
-from repro.streaming import FleetManager, StreamingDetector
+from repro.streaming import FleetManager
 from repro.training import ModelRegistry
 
 
@@ -130,9 +130,12 @@ class TestFleetHotSwap:
         with pytest.raises(TypeError):
             fleet.swap_model(42)
 
+        # Dynamic-graph smoothing would chain state between shards; a single
+        # shard has none to chain into, so only multi-shard fleets refuse.
         dynamic = AeroDetector(tiny_config, graph_mode="dynamic").fit(train_series)
         with pytest.raises(ValueError, match="dynamic"):
-            fleet.swap_model(dynamic)
+            FleetManager(old, num_shards=2).swap_model(dynamic)
+        fleet.swap_model(dynamic)
 
     def test_swap_rejects_unfitted_detector(self, detectors):
         old, _ = detectors
@@ -142,32 +145,34 @@ class TestFleetHotSwap:
 
 
 class TestStreamingHotSwap:
+    """A single stream (``detector.stream()``, a one-shard fleet)."""
+
     def test_stream_serves_new_model_next_step(self, detectors):
         old, new = detectors
-        stream = StreamingDetector(old)
+        stream = old.stream()
         rng = np.random.default_rng(23)
 
         tail, _ = old.window_context()
         raw_history = old.scaler.inverse_transform(tail)
         for _ in range(3):
-            row = rng.normal(10.0, 1.0, size=old.model.num_variates)
+            row = rng.normal(10.0, 1.0, size=(1, old.model.num_variates))
             stream.step(row)
-            raw_history = np.concatenate([raw_history, row[None]], axis=0)
+            raw_history = np.concatenate([raw_history, row], axis=0)
 
         stream.swap_model(new)
-        next_row = rng.normal(10.0, 1.0, size=old.model.num_variates)
+        next_row = rng.normal(10.0, 1.0, size=(1, old.model.num_variates))
         result = stream.step(next_row)
         assert result.ready
         assert result.threshold == pytest.approx(new.threshold())
-        expected = expected_next_scores(new, raw_history[None], next_row[None])
-        np.testing.assert_allclose(result.scores, expected[0], rtol=1e-9, atol=1e-12)
+        expected = expected_next_scores(new, raw_history[None], next_row)
+        np.testing.assert_allclose(result.scores, expected, rtol=1e-9, atol=1e-12)
 
     def test_adaptive_pot_survives_the_swap(self, detectors):
         old, new = detectors
-        stream = StreamingDetector(old, adaptive_pot=True)
+        stream = old.stream(threshold_mode="per_star")
         rng = np.random.default_rng(29)
         for _ in range(3):
-            stream.step(rng.normal(10.0, 1.0, size=old.model.num_variates))
+            stream.step(rng.normal(10.0, 1.0, size=(1, old.model.num_variates)))
         pot_before = stream.adaptive_pot
         adaptive_before = stream.adaptive_pot.thresholds.copy()
         stream.swap_model(new)
@@ -175,17 +180,17 @@ class TestStreamingHotSwap:
         # keeps adapting against the new model's scores.
         assert stream.adaptive_pot is pot_before
         np.testing.assert_array_equal(stream.adaptive_pot.thresholds, adaptive_before)
-        result = stream.step(rng.normal(10.0, 1.0, size=old.model.num_variates))
-        assert result.adaptive_threshold is not None
-        assert result.adaptive_threshold.shape == (old.model.num_variates,)
+        result = stream.step(rng.normal(10.0, 1.0, size=(1, old.model.num_variates)))
+        assert result.thresholds.shape == (1, old.model.num_variates)
+        np.testing.assert_array_equal(result.thresholds[0], adaptive_before)
         assert np.isfinite(adaptive_before).all()
 
     def test_swap_to_prebuilt_compiled_plans(self, detectors):
         old, new = detectors
-        stream = StreamingDetector(old)
+        stream = old.stream()
         assert stream.backend == "compiled"
         stream.swap_model(new.compile())
         assert stream.backend == "compiled"
         rng = np.random.default_rng(31)
-        result = stream.step(rng.normal(10.0, 1.0, size=old.model.num_variates))
+        result = stream.step(rng.normal(10.0, 1.0, size=(1, old.model.num_variates)))
         assert result.ready and np.isfinite(result.scores).all()

@@ -398,18 +398,6 @@ class TestDeployThreshold:
             registry.deploy("field-a", fleet)
         assert fleet.threshold == fitted_detector.threshold()
 
-    def test_threshold_passthrough_without_swap_kwarg(self, tmp_path, fitted_detector):
-        # StreamingDetector.swap_model has no threshold parameter: deploy
-        # must assign the threshold right after the swap instead.
-        from repro.streaming import StreamingDetector
-
-        registry = ModelRegistry(tmp_path)
-        registry.publish("field-a", fitted_detector)
-        stream = StreamingDetector(fitted_detector)
-        registry.deploy("field-a", stream, threshold=3.25)
-        assert stream.threshold == 3.25
-        assert stream.model_version == "field-a@v0001"
-
 
 class TestDeployStarGuard:
     def test_zero_star_target_fails_loudly_before_the_swap(self, tmp_path, fitted_detector):
