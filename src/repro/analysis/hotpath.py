@@ -1,9 +1,9 @@
 """Registry of steady-state hot paths and the ``@hot_path`` decorator.
 
 A *hot path* is a function whose per-tick execution is part of a pinned
-performance contract: the incremental serving kernels are tracemalloc-pinned
-to zero steady-state allocation, and the fleet/POT/telemetry tick paths are
-benchmarked against allocation-driven regressions.  The
+performance contract: the incremental serving tick is tracemalloc-pinned
+(flat net heap, bounded per-tick peak), and the fleet/POT/telemetry tick
+paths are benchmarked against allocation-driven regressions.  The
 ``hot-alloc``/``hot-ufunc-out`` lint rules (:mod:`repro.analysis.rules`)
 flag numpy allocations inside registered functions so a new ``np.empty`` or
 an ``out=``-less ufunc cannot sneak into a tick unnoticed.
@@ -27,7 +27,15 @@ Tiers
 ``"strict"``
     Everything ``alloc`` forbids, plus every ufunc call must write into a
     preallocated destination (``out=``).  This is the zero-allocation
-    contract of the incremental workspace kernels.
+    contract of the incremental tick and of the shared runtime kernels it
+    runs (:mod:`repro.runtime.ops` and the plan methods), which take their
+    destinations from an optional workspace.  The rule is syntactic:
+    ``out=ws and ws.get(…)`` satisfies it whether or not a workspace was
+    passed, so a call site that forgets to forward the workspace is caught
+    by the tracemalloc per-tick *peak* pin, not by the lint.  Nor does
+    ``out=`` make a call allocation-free: numpy still allocates an iterator
+    buffer (at most 64 KiB) for a broadcast or mixed-dtype ufunc, freed
+    before the call returns.
 """
 
 from __future__ import annotations
@@ -40,31 +48,40 @@ __all__ = ["HOT_PATHS", "hot_path"]
 HOT_PATHS: dict[str, str] = {
     # -- incremental serving: the zero-allocation tick kernels ------------
     "repro/runtime/incremental.py::ScratchArena.get": "strict",
-    "repro/runtime/incremental.py::_ws_linear": "strict",
-    "repro/runtime/incremental.py::_ws_relu": "strict",
-    "repro/runtime/incremental.py::_ws_gelu": "strict",
-    "repro/runtime/incremental.py::_ws_sigmoid": "strict",
-    "repro/runtime/incremental.py::_sigmoid_inplace": "strict",
-    "repro/runtime/incremental.py::_ws_activation": "strict",
-    "repro/runtime/incremental.py::_ws_softmax_inplace": "strict",
-    "repro/runtime/incremental.py::_ws_layer_norm": "strict",
-    "repro/runtime/incremental.py::_ws_ffn": "strict",
-    "repro/runtime/incremental.py::_ws_attend": "strict",
-    "repro/runtime/incremental.py::_ws_self_attention": "strict",
-    "repro/runtime/incremental.py::_ws_cross_attention": "strict",
-    "repro/runtime/incremental.py::_ws_encoder_layer": "strict",
-    "repro/runtime/incremental.py::_ws_self_stage": "strict",
-    "repro/runtime/incremental.py::_ws_cross_stage": "strict",
-    "repro/runtime/incremental.py::_ws_decoder_layer": "strict",
     "repro/runtime/incremental.py::IncrementalState.append": "strict",
     "repro/runtime/incremental.py::IncrementalState._embed_row": "strict",
     "repro/runtime/incremental.py::IncrementalState.score": "strict",
     "repro/runtime/incremental.py::IncrementalState._score_full": "strict",
+    "repro/runtime/incremental.py::_stage_input": "strict",
     "repro/runtime/incremental.py::temporal_step": "strict",
     "repro/runtime/incremental.py::noise_step": "strict",
     "repro/runtime/incremental.py::model_step": "strict",
     "repro/runtime/compiler.py::CompiledDetector.score_stack_step": "strict",
     "repro/runtime/compiler.py::CompiledDetector.score_step": "strict",
+    # -- the one kernel set both the full forward and the tick run ---------
+    # (the tick passes its arena as the workspace; the lint holds every
+    # ufunc to an ``out=`` so no call site can skip the workspace slot)
+    "repro/runtime/ops.py::scratch": "strict",
+    "repro/runtime/ops.py::linear": "strict",
+    "repro/runtime/ops.py::relu": "strict",
+    "repro/runtime/ops.py::gelu": "strict",
+    "repro/runtime/ops.py::sigmoid": "strict",
+    "repro/runtime/ops.py::softmax": "strict",
+    "repro/runtime/ops.py::layer_norm": "strict",
+    "repro/runtime/ops.py::apply_activation": "strict",
+    "repro/runtime/plans.py::FeedForwardPlan.__call__": "strict",
+    "repro/runtime/plans.py::LayerNormPlan.__call__": "strict",
+    "repro/runtime/plans.py::AttentionPlan._split_heads": "strict",
+    "repro/runtime/plans.py::AttentionPlan._attend": "strict",
+    "repro/runtime/plans.py::AttentionPlan.self_attention": "strict",
+    "repro/runtime/plans.py::AttentionPlan.cross": "strict",
+    "repro/runtime/plans.py::EncoderLayerPlan.__call__": "strict",
+    "repro/runtime/plans.py::DecoderLayerPlan.self_stage": "strict",
+    "repro/runtime/plans.py::DecoderLayerPlan.cross_stage": "strict",
+    "repro/runtime/plans.py::DecoderLayerPlan.__call__": "strict",
+    "repro/runtime/plans.py::TemporalPlan.encode": "strict",
+    "repro/runtime/plans.py::TemporalPlan.decode": "strict",
+    "repro/runtime/plans.py::TemporalPlan.head": "strict",
     # -- fleet serving tick ----------------------------------------------
     "repro/streaming/fleet.py::FleetManager.step": "alloc",
     "repro/streaming/fleet.py::FleetManager._step_inner": "alloc",

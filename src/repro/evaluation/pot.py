@@ -15,8 +15,9 @@ over an initial high quantile:
    excesses.  When the fitted shape ``gamma`` is (near) zero the exponential
    limit ``z_q = t - sigma * log(q * n / N_t)`` is used.
 
-``SPOT`` wraps this procedure for streaming data, updating the excess set as
-new scores arrive, and ``DSPOT`` adds a drift term (moving-average removal).
+The streaming form of this procedure is
+:class:`repro.streaming.VectorizedIncrementalPOT` (per-star thresholds);
+the paper's SPOT baseline is :class:`repro.baselines.Spot`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "gpd_tail_threshold",
     "gpd_tail_thresholds",
     "pot_threshold",
-    "SPOT",
-    "DSPOT",
 ]
 
 
@@ -100,7 +99,7 @@ def gpd_tail_thresholds(
     """Array-native ``z_q`` inversion: one threshold per (star's) GPD fit.
 
     Element ``i`` computes exactly :func:`gpd_tail_threshold` for the
-    ``i``-th fit.  Every POT variant — batch, SPOT, DSPOT, the streaming
+    ``i``-th fit.  Every POT variant — batch, the streaming
     :class:`repro.streaming.IncrementalPOT` and the per-star
     :class:`repro.streaming.VectorizedIncrementalPOT` — funnels through this
     one ufunc-backed implementation, which keeps their thresholds
@@ -133,8 +132,8 @@ def gpd_tail_threshold(
 ) -> float:
     """Invert a fitted GPD tail into the threshold ``z_q`` (Eq. 18 core).
 
-    This is the shared final step of every POT variant (batch, SPOT, DSPOT
-    and the streaming :class:`repro.streaming.IncrementalPOT`): given the
+    This is the shared final step of every POT variant (batch and the
+    streaming :class:`repro.streaming.IncrementalPOT`): given the
     initial threshold ``t``, a GPD fit of the excesses over ``t`` and the
     total number of observations ``n``, return
 
@@ -199,89 +198,3 @@ def pot_threshold(
     fit = fit_gpd(excesses)
     # The threshold must not fall below the initial quantile.
     return gpd_tail_threshold(initial, fit, q, n)
-
-
-class SPOT:
-    """Streaming POT detector for univariate anomaly scores.
-
-    ``fit`` calibrates on an initial batch; ``step`` processes one new score,
-    returning ``True`` if it exceeds the current threshold, and adds
-    non-anomalous excesses to the tail model.
-    """
-
-    def __init__(self, q: float = 1e-3, level: float = 0.98):
-        self.q = q
-        self.level = level
-        self.initial_threshold: float | None = None
-        self.threshold: float | None = None
-        self._excesses: list[float] = []
-        self._num_observations = 0
-
-    def fit(self, scores: np.ndarray) -> "SPOT":
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        if scores.size < 10:
-            raise ValueError("SPOT needs at least 10 calibration scores")
-        self._num_observations = scores.size
-        self.initial_threshold = float(np.quantile(scores, self.level))
-        self._excesses = list(scores[scores > self.initial_threshold] - self.initial_threshold)
-        self._update_threshold()
-        return self
-
-    def _update_threshold(self) -> None:
-        if not self._excesses:
-            self.threshold = self.initial_threshold
-            return
-        fit = fit_gpd(np.asarray(self._excesses))
-        self.threshold = gpd_tail_threshold(
-            self.initial_threshold, fit, self.q, self._num_observations
-        )
-
-    def step(self, score: float) -> bool:
-        """Process one new score; return ``True`` if it is an anomaly."""
-        if self.threshold is None or self.initial_threshold is None:
-            raise RuntimeError("SPOT must be fitted before calling step")
-        self._num_observations += 1
-        if score > self.threshold:
-            return True
-        if score > self.initial_threshold:
-            self._excesses.append(score - self.initial_threshold)
-            self._update_threshold()
-        return False
-
-    def detect(self, scores: np.ndarray) -> np.ndarray:
-        """Run :meth:`step` over an array of scores and return the binary alarms."""
-        return np.asarray([self.step(float(s)) for s in np.asarray(scores).ravel()], dtype=np.int64)
-
-
-class DSPOT(SPOT):
-    """Drift-aware SPOT: scores are first de-trended by a moving average."""
-
-    def __init__(self, q: float = 1e-3, level: float = 0.98, depth: int = 10):
-        super().__init__(q=q, level=level)
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        self.depth = depth
-        self._window: list[float] = []
-
-    def fit(self, scores: np.ndarray) -> "DSPOT":
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        if scores.size <= self.depth + 10:
-            raise ValueError("DSPOT needs more calibration scores than its depth")
-        self._window = list(scores[-self.depth:])
-        residuals = scores[self.depth:] - np.array(
-            [scores[i:i + self.depth].mean() for i in range(scores.size - self.depth)]
-        )
-        super().fit(residuals)
-        return self
-
-    def step(self, score: float) -> bool:
-        if not self._window:
-            raise RuntimeError("DSPOT must be fitted before calling step")
-        baseline = float(np.mean(self._window))
-        residual = score - baseline
-        is_anomaly = super().step(residual)
-        if not is_anomaly:
-            self._window.append(score)
-            if len(self._window) > self.depth:
-                self._window.pop(0)
-        return is_anomaly

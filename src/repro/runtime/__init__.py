@@ -8,7 +8,9 @@ pays for arithmetic only: no ``Tensor`` allocation, no graph bookkeeping,
 no per-window python loops.
 
 * :mod:`~repro.runtime.ops` — numerics-exact ndarray kernels mirroring the
-  ``repro.nn`` ops (the basis of the float64 bit-for-bit guarantee);
+  ``repro.nn`` ops (the basis of the float64 bit-for-bit guarantee); the
+  one kernel set of both the full forward and the incremental tick, which
+  differ only in whether a workspace supplies the intermediates' buffers;
 * :mod:`~repro.runtime.plans` — :class:`TemporalPlan`, :class:`NoisePlan`
   and :class:`CompiledModel`, the fused executable forms of the two AERO
   stages and the score head;

@@ -28,11 +28,19 @@ cross-tick invariants instead:
 
 Everything that genuinely depends on the newest row — attention over the
 window, softmax normalizations, the decoder cross stages, the GCN
-propagation — re-runs each tick, but into named buffers of a
-:class:`ScratchArena`, so the steady-state tick allocates nothing beyond
-the emitted score vector.  The workspace kernels below replay the *exact*
-ufunc/GEMM sequences of :mod:`repro.runtime.ops`, so float64 incremental
-scores are bit-for-bit equal to the full compiled forward.
+propagation — re-runs each tick.  There is one set of kernels: the tick
+stages its inputs from the rings and then calls the very plan methods and
+:mod:`repro.runtime.ops` kernels the full forward runs, passing this
+state's :class:`ScratchArena` as their workspace.  The full forward passes
+none and numpy allocates; here every intermediate lands in a named arena
+slot.  Same code, same ufunc/GEMM sequence — so float64 incremental scores
+are bit-for-bit equal to the full compiled forward.
+
+A steady-state tick therefore allocates no array of its own beyond the
+emitted score vector.  What remains is numpy's own transient: a broadcast
+or mixed-dtype ufunc writing through ``out=`` may still allocate an
+iterator buffer of at most 64 KiB, freed before the call returns
+(``tests/runtime/test_incremental.py`` pins the per-tick peak).
 
 Invalidation: the state stays valid as long as it is fed the same rows, in
 the same order, as the serving ring buffers (the serving front appends to
@@ -51,35 +59,25 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import ops
+
 if TYPE_CHECKING:  # pragma: no cover - imports only for type checkers
-    from .plans import (
-        AttentionPlan,
-        CompiledModel,
-        DecoderLayerPlan,
-        EncoderLayerPlan,
-        FeedForwardPlan,
-        LayerNormPlan,
-        NoisePlan,
-        TemporalPlan,
-    )
+    from .plans import CompiledModel, NoisePlan, TemporalPlan
 
 __all__ = ["IncrementalState", "ScratchArena", "temporal_step", "noise_step", "model_step"]
-
-#: Same literal as ``repro.runtime.plans._GRAPH_EPS`` (kept in sync so the
-#: cached static adjacency reproduces the full path's normalization bits).
-_GRAPH_EPS = 1e-8
-
-_GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 class ScratchArena:
     """Named preallocated scratch buffers for one incremental state.
 
-    ``get(name, shape, dtype)`` returns the same buffer on every tick, so a
-    steady-state forward allocates nothing: each kernel writes its result
-    into its named slot with ``out=``.  Shapes are fixed by the serving
+    ``get(name, shape, dtype)`` returns the same buffer on every tick: the
+    state passes the arena as the workspace of the :mod:`repro.runtime.ops`
+    kernels and plan methods, and each writes its result into its named
+    slot with ``out=``.  Shapes are fixed by the serving
     geometry; a mismatched request (only possible across a geometry change,
     which rebuilds the state anyway) transparently reallocates the slot.
+    An arena is always truthy (it defines no ``__len__``): the kernels'
+    ``out=ws and ws.get(…)`` relies on that.
     """
 
     __slots__ = ("_buffers",)
@@ -97,191 +95,6 @@ class ScratchArena:
     @property
     def nbytes(self) -> int:
         return sum(buffer.nbytes for buffer in self._buffers.values())
-
-
-# ----------------------------------------------------------------------
-# workspace kernels — ``ops.py`` sequences replayed into arena buffers.
-# Every ufunc below appears in the same order, with the same operand
-# order, as its ``ops``/``plans`` counterpart; only the destination of
-# each freshly-allocated intermediate changes (a named arena buffer
-# instead of a new allocation), which cannot change a bit.
-# ----------------------------------------------------------------------
-def _ws_linear(arena: ScratchArena, name: str, x, weight, bias):
-    out = arena.get(name, x.shape[:-1] + (weight.shape[-1],), weight.dtype)
-    if weight.shape[0] == 1 and x.shape[-1] == 1:
-        np.multiply(x, weight[0], out=out)
-    else:
-        np.matmul(x, weight, out=out)
-    if bias is not None:
-        np.add(out, bias, out=out)
-    return out
-
-
-def _ws_relu(arena: ScratchArena, name: str, x):
-    mask = arena.get(name + ".mask", x.shape, np.bool_)
-    np.greater(x, 0, out=mask)
-    out = arena.get(name + ".out", x.shape, x.dtype)
-    np.multiply(x, mask, out=out)
-    return out
-
-
-def _ws_gelu(arena: ScratchArena, name: str, x):
-    inner = arena.get(name + ".inner", x.shape, x.dtype)
-    out = arena.get(name + ".out", x.shape, x.dtype)
-    np.power(x, 3, out=inner)
-    np.multiply(inner, 0.044715, out=inner)
-    np.add(x, inner, out=inner)
-    np.multiply(inner, _GELU_C, out=inner)
-    np.tanh(inner, out=inner)
-    np.add(inner, 1.0, out=inner)
-    np.multiply(x, 0.5, out=out)
-    np.multiply(out, inner, out=out)
-    return out
-
-
-def _ws_sigmoid(arena: ScratchArena, name: str, x):
-    out = arena.get(name + ".out", x.shape, x.dtype)
-    np.clip(x, -60.0, 60.0, out=out)
-    return _sigmoid_inplace(out)
-
-
-def _sigmoid_inplace(out):
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(out, 1.0, out=out)
-    np.divide(1.0, out, out=out)
-    return out
-
-
-def _ws_activation(arena: ScratchArena, name: str, x, kind: str):
-    if kind == "identity":
-        return x
-    if kind == "relu":
-        return _ws_relu(arena, name, x)
-    if kind == "gelu":
-        return _ws_gelu(arena, name, x)
-    if kind == "tanh":
-        out = arena.get(name + ".out", x.shape, x.dtype)
-        np.tanh(x, out=out)
-        return out
-    if kind == "sigmoid":
-        return _ws_sigmoid(arena, name, x)
-    raise ValueError(f"unsupported activation: {kind!r}")
-
-
-def _ws_softmax_inplace(arena: ScratchArena, name: str, x):
-    reduced = x.shape[:-1] + (1,)
-    peak = arena.get(name + ".max", reduced, x.dtype)
-    np.max(x, axis=-1, keepdims=True, out=peak)
-    np.subtract(x, peak, out=x)
-    np.exp(x, out=x)
-    total = arena.get(name + ".sum", reduced, x.dtype)
-    np.sum(x, axis=-1, keepdims=True, out=total)
-    np.divide(x, total, out=x)
-    return x
-
-
-def _ws_layer_norm(arena: ScratchArena, name: str, norm: "LayerNormPlan", x):
-    reduced = x.shape[:-1] + (1,)
-    inverse_count = 1.0 / x.shape[-1]
-    mean = arena.get(name + ".mean", reduced, x.dtype)
-    np.sum(x, axis=-1, keepdims=True, out=mean)
-    np.multiply(mean, inverse_count, out=mean)
-    centered = arena.get(name + ".cen", x.shape, x.dtype)
-    np.subtract(x, mean, out=centered)
-    squared = arena.get(name + ".sq", x.shape, x.dtype)
-    np.multiply(centered, centered, out=squared)
-    var = arena.get(name + ".var", reduced, x.dtype)
-    np.sum(squared, axis=-1, keepdims=True, out=var)
-    np.multiply(var, inverse_count, out=var)
-    np.add(var, norm.eps, out=var)
-    np.sqrt(var, out=var)
-    np.divide(centered, var, out=centered)
-    np.multiply(centered, norm.gamma, out=centered)
-    np.add(centered, norm.beta, out=centered)
-    return centered
-
-
-def _ws_ffn(arena: ScratchArena, name: str, ffn: "FeedForwardPlan", x):
-    hidden = _ws_linear(arena, name + ".h", x, ffn.w1, ffn.b1)
-    hidden = _ws_activation(arena, name + ".act", hidden, ffn.activation)
-    return _ws_linear(arena, name + ".o", hidden, ffn.w2, ffn.b2)
-
-
-def _ws_attend(arena: ScratchArena, name: str, attention: "AttentionPlan", q, k, v):
-    # The batch comes from the keys: a batch-1 query (the shared decoder
-    # stage) broadcasts over every folded sequence's memory.
-    _, heads, length, d_head = q.shape
-    batch, _, keys, _ = k.shape
-    scores = arena.get(name + ".scores", (batch, heads, length, keys), attention.wq.dtype)
-    np.matmul(q, k.swapaxes(-1, -2), out=scores)
-    np.multiply(scores, attention.scale, out=scores)
-    _ws_softmax_inplace(arena, name + ".sm", scores)
-    attended = arena.get(name + ".att", (batch, heads, length, d_head), attention.wq.dtype)
-    np.matmul(scores, v, out=attended)
-    merged = arena.get(name + ".merge", (batch, length, heads * d_head), attention.wq.dtype)
-    np.copyto(merged.reshape(batch, length, heads, d_head), attended.transpose(0, 2, 1, 3))
-    return _ws_linear(arena, name + ".out", merged, attention.wo, attention.bo)
-
-
-def _split_heads(attention: "AttentionPlan", x):
-    batch, length, _ = x.shape
-    return x.reshape(batch, length, attention.num_heads, attention.d_head).transpose(0, 2, 1, 3)
-
-
-def _ws_self_attention(arena: ScratchArena, name: str, attention: "AttentionPlan", x):
-    batch, length, d_model = x.shape
-    qkv = arena.get(name + ".qkv", (3, batch, length, d_model), attention.wq.dtype)
-    np.matmul(x[None], attention.wqkv[:, None], out=qkv)
-    np.add(qkv, attention.bqkv, out=qkv)
-    return _ws_attend(
-        arena, name, attention,
-        _split_heads(attention, qkv[0]),
-        _split_heads(attention, qkv[1]),
-        _split_heads(attention, qkv[2]),
-    )
-
-
-def _ws_cross_attention(arena: ScratchArena, name: str, attention: "AttentionPlan", x, memory):
-    batch, keys, d_model = memory.shape
-    q = _ws_linear(arena, name + ".q", x, attention.wq, attention.bq)
-    kv = arena.get(name + ".kv", (2, batch, keys, d_model), attention.wq.dtype)
-    np.matmul(memory[None], attention.wkv[:, None], out=kv)
-    np.add(kv, attention.bkv, out=kv)
-    return _ws_attend(
-        arena, name, attention,
-        _split_heads(attention, q),
-        _split_heads(attention, kv[0]),
-        _split_heads(attention, kv[1]),
-    )
-
-
-def _ws_encoder_layer(arena: ScratchArena, name: str, layer: "EncoderLayerPlan", x):
-    attended = _ws_self_attention(arena, name + ".sa", layer.self_attention, x)
-    np.add(x, attended, out=attended)
-    x = _ws_layer_norm(arena, name + ".n1", layer.norm1, attended)
-    transformed = _ws_ffn(arena, name + ".ff", layer.feed_forward, x)
-    np.add(x, transformed, out=transformed)
-    return _ws_layer_norm(arena, name + ".n2", layer.norm2, transformed)
-
-
-def _ws_self_stage(arena: ScratchArena, name: str, layer: "DecoderLayerPlan", x):
-    attended = _ws_self_attention(arena, name + ".sa", layer.self_attention, x)
-    np.add(x, attended, out=attended)
-    return _ws_layer_norm(arena, name + ".n1", layer.norm1, attended)
-
-
-def _ws_cross_stage(arena: ScratchArena, name: str, layer: "DecoderLayerPlan", x, memory):
-    cross = _ws_cross_attention(arena, name + ".ca", layer.cross_attention, x, memory)
-    np.add(x, cross, out=cross)
-    x = _ws_layer_norm(arena, name + ".n2", layer.norm2, cross)
-    transformed = _ws_ffn(arena, name + ".ff", layer.feed_forward, x)
-    np.add(x, transformed, out=transformed)
-    return _ws_layer_norm(arena, name + ".n3", layer.norm3, transformed)
-
-
-def _ws_decoder_layer(arena: ScratchArena, name: str, layer: "DecoderLayerPlan", x, memory):
-    return _ws_cross_stage(arena, name, layer, _ws_self_stage(arena, name, layer, x), memory)
 
 
 # ----------------------------------------------------------------------
@@ -545,16 +358,10 @@ class IncrementalState:
         normalization sequence of :meth:`NoisePlan.forward` and frozen.
         """
         if self._static_norm is None:
-            num_variates = self.num_variates
-            normalized = np.ones(
-                (self.num_stacks, num_variates, num_variates), dtype=self.dtype
+            variates = self.num_variates
+            normalized = plan.normalize_adjacency(
+                np.ones((self.num_stacks, variates, variates), dtype=self.dtype)
             )
-            if plan.remove_self_loops:
-                diagonal = np.arange(num_variates)
-                normalized[:, diagonal, diagonal] = 0.0
-            degree = np.abs(normalized).sum(axis=2)
-            inverse_degree = np.where(degree > _GRAPH_EPS, 1.0 / (degree + _GRAPH_EPS), 0.0)
-            np.multiply(inverse_degree[:, :, None], normalized, out=normalized)
             normalized.flags.writeable = False
             self._static_norm = normalized
         return self._static_norm
@@ -621,12 +428,41 @@ class IncrementalState:
 # ----------------------------------------------------------------------
 # per-tick module steps
 # ----------------------------------------------------------------------
+def _stage_input(
+    plan: "TemporalPlan", state: IncrementalState, name: str, start: int, stop: int,
+    weight, bias, ring, time,
+) -> np.ndarray:
+    """Value embedding plus time embedding of window rows ``[start, stop)``.
+
+    The multivariate fold projects the ring's window view; the univariate
+    fold reads the per-row embeddings cached in ``ring`` and adds the
+    batch-1 time embedding across the folded sequences.
+    """
+    arena = state.arena
+    if plan.multivariate_input:
+        embedded = ops.linear(state.values_window(start, stop), weight, bias, arena, name)
+        np.add(embedded, time, out=embedded)
+        return embedded
+    stacks, variates = state.num_stacks, state.num_variates
+    j = state.window_start
+    cached = ring[:, j + start : j + stop]
+    length, d_model = cached.shape[1:]
+    embedded = arena.get(name, (stacks * variates, length, d_model), plan.dtype)
+    np.add(
+        cached.reshape(stacks, variates, length, d_model),
+        time[:, None],
+        out=embedded.reshape(stacks, variates, length, d_model),
+    )
+    return embedded
+
+
 def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
     """One-tick temporal reconstruction over ``state``'s current window.
 
-    Mirrors :meth:`TemporalPlan.forward` stage for stage — same kernels,
-    same operand order — reading the window from the state rings and the
-    per-row value embeddings from their caches.  Returns the
+    Stages the encoder (and, under full conditioning, decoder) input from
+    the state rings — the window values, the per-row value embeddings and
+    the shared timeline — then runs the plan's own ``encode``/``decode``/
+    ``head`` stages into the state's arena.  Returns the
     ``(num_stacks, N, omega)`` reconstruction (a workspace view).
 
     Every stack shares the one exposure timeline, so the timeline-only
@@ -640,8 +476,7 @@ def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
     stacks = state.num_stacks
     variates = state.num_variates
     window = state.window
-    omega = state.short
-    context = window - omega
+    context = window - state.short
     j = state.window_start
     masked = plan.conditioning == "masked"
 
@@ -649,78 +484,35 @@ def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
         long_times = state._times[None, j : j + window]
     else:
         long_times = plan._default_long_times(1, window)
-    short_times = long_times[:, context:]
 
-    # -- encoder input ---------------------------------------------------
-    length = context if masked else window
-    encoder_time = plan.time_embedding(long_times[:, :context] if masked else long_times)
-    if plan.multivariate_input:
-        encoder_input = _ws_linear(
-            arena, "enc.in",
-            state.values_window(0, length),
-            plan.encoder_embedding_w, plan.encoder_embedding_b,
-        )
-        np.add(encoder_input, encoder_time, out=encoder_input)
-    else:
-        embedded = state._enc_embed[:, j : j + length]
-        d_model = embedded.shape[2]
-        encoder_input = arena.get("enc.in", (stacks * variates, length, d_model), plan.dtype)
-        np.add(
-            embedded.reshape(stacks, variates, length, d_model),
-            encoder_time[:, None],
-            out=encoder_input.reshape(stacks, variates, length, d_model),
-        )
-
-    memory = encoder_input
-    for index, layer in enumerate(plan.encoder_layers):
-        memory = _ws_encoder_layer(arena, f"enc{index}", layer, memory)
-
-    # -- decoder ---------------------------------------------------------
-    if masked:
-        decoder_time, decoder_token = plan.time_embedding.embed(
-            short_times, position_offset=context
-        )
-        if plan.decoder_layers:
-            compact = plan._decoder_self_stage(decoder_time, decoder_token)
-            decoded = _ws_cross_stage(arena, "dec0", plan.decoder_layers[0], compact, memory)
-            for index, layer in enumerate(plan.decoder_layers[1:], start=1):
-                decoded = _ws_decoder_layer(arena, f"dec{index}", layer, decoded, memory)
-        else:
-            decoded = np.broadcast_to(decoder_time, (len(memory),) + decoder_time.shape[1:])
-    else:
-        decoder_time = plan.time_embedding(short_times, position_offset=context)
-        if plan.multivariate_input:
-            decoded = _ws_linear(
-                arena, "dec.in",
-                state.values_window(context, window),
-                plan.decoder_embedding_w, plan.decoder_embedding_b,
-            )
-            np.add(decoded, decoder_time, out=decoded)
-        else:
-            embedded = state._dec_embed[:, j + context : j + window]
-            d_model = embedded.shape[2]
-            decoded = arena.get("dec.in", (stacks * variates, omega, d_model), plan.dtype)
-            np.add(
-                embedded.reshape(stacks, variates, omega, d_model),
-                decoder_time[:, None],
-                out=decoded.reshape(stacks, variates, omega, d_model),
-            )
-        for index, layer in enumerate(plan.decoder_layers):
-            decoded = _ws_decoder_layer(arena, f"dec{index}", layer, decoded, memory)
-
-    # -- reconstruction head ---------------------------------------------
-    hidden = _ws_ffn(arena, "head.ffn", plan.output_ffn, decoded)
-    projected = _ws_linear(
-        arena, "head.proj", hidden, plan.output_projection_w, plan.output_projection_b
+    stop = context if masked else window
+    memory = plan.encode(
+        _stage_input(
+            plan, state, "enc.in", 0, stop,
+            plan.encoder_embedding_w, plan.encoder_embedding_b, state._enc_embed,
+            plan.time_embedding(long_times[:, :stop]),
+        ),
+        arena,
     )
-    np.clip(projected, -60.0, 60.0, out=projected)
-    _sigmoid_inplace(projected)
-    if plan.multivariate_input:
-        return projected.transpose(0, 2, 1)
-    return projected.reshape(stacks, variates, omega)
+    if not masked:
+        decoder_input = _stage_input(
+            plan, state, "dec.in", context, window,
+            plan.decoder_embedding_w, plan.decoder_embedding_b, state._dec_embed,
+            plan.time_embedding(long_times[:, context:], position_offset=context),
+        )
+        return plan.head(plan.decode(decoder_input, memory, arena), stacks, variates, arena)
+    decoder_time, decoder_token = plan.time_embedding.embed(
+        long_times[:, context:], position_offset=context
+    )
+    if plan.decoder_layers:
+        compact = plan._decoder_self_stage(decoder_time, decoder_token)
+        decoded = plan.decode(compact, memory, arena, self_staged=True)
+    else:
+        decoded = np.broadcast_to(decoder_time, (len(memory),) + decoder_time.shape[1:])
+    return plan.head(decoded, stacks, variates, arena)
 
 
-def _ws_like_layout(arena: ScratchArena, name: str, reference: np.ndarray) -> np.ndarray:
+def _slot_like(arena: ScratchArena, name: str, reference: np.ndarray) -> np.ndarray:
     """A workspace buffer with ``reference``'s shape *and* memory layout.
 
     The GCN's einsum/GEMM kernels are layout-sensitive at the ulp level
@@ -759,7 +551,7 @@ def noise_step(plan: "NoisePlan", state: IncrementalState, errors, target) -> np
     elif state._features is not None:
         features = state.features_view()
     else:
-        features = _ws_like_layout(arena, "gcn.features", errors)
+        features = _slot_like(arena, "gcn.features", errors)
         np.multiply(errors, plan.scales[None, :, None], out=features)
     propagated = arena.get("gcn.propagated", errors.shape, errors.dtype)
     np.matmul(normalized, features, out=propagated)
@@ -767,7 +559,7 @@ def noise_step(plan: "NoisePlan", state: IncrementalState, errors, target) -> np
     np.matmul(propagated, plan.weight, out=out)
     last = arena.get("gcn.last", errors.shape[:2], errors.dtype)
     np.add(out[:, :, -1], plan.bias[-1], out=last)
-    last = _ws_activation(arena, "gcn.act", last, plan.activation)
+    last = ops.apply_activation(last, plan.activation, arena, "gcn.act")
     if plan.inverse_scales is not None:
         np.multiply(last, plan.inverse_scales[None, :, -1], out=last)
     return last
@@ -789,7 +581,7 @@ def model_step(model: "CompiledModel", state: IncrementalState) -> np.ndarray:
     # workspace: the adjacency einsum/norm kernels are layout-sensitive at
     # the ulp level, so the buffer replicates ``score_stack``'s layout —
     # its ``target - reconstruction`` inherits the operands' transposed
-    # layout in the multivariate fold (see ``_ws_like_layout``).
+    # layout in the multivariate fold (see ``_slot_like``).
     needs_workspace = model.temporal is not None or (
         model.noise is not None and model.noise.graph_mode != "static"
     )

@@ -7,6 +7,18 @@ allocation and no autograd bookkeeping.  Plans are built by
 :mod:`repro.runtime.compiler` and are the execution layer behind ``AeroDetector.score()`` and the
 streaming/fleet serving paths.
 
+One kernel set, two buffer policies
+-----------------------------------
+Every plan method that runs per window — ``LayerNormPlan``,
+``FeedForwardPlan``, ``AttentionPlan``, the encoder/decoder layers and the
+``TemporalPlan`` ``encode``/``decode``/``head`` stages — takes an optional
+workspace and a buffer name and hands both down to the :mod:`ops`
+kernels.  The full forward below passes no workspace, so numpy allocates
+each intermediate (its results outlive the call, and one plan object is
+shared by fleets, canary shadow fleets and ``detector.score``); the
+incremental tick (:mod:`repro.runtime.incremental`) passes its state's
+arena, so the same calls write into named, reused slots.
+
 Guarantees
 ----------
 * **float64 mode** — bit-for-bit equal to the autograd forward pass.  Every
@@ -81,9 +93,10 @@ class FeedForwardPlan:
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.activation = activation
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        hidden = ops.apply_activation(ops.linear(x, self.w1, self.b1), self.activation)
-        return ops.linear(hidden, self.w2, self.b2)
+    def __call__(self, x: np.ndarray, ws=None, name: str = "ffn") -> np.ndarray:
+        hidden = ops.linear(x, self.w1, self.b1, ws, name + ".h")
+        hidden = ops.apply_activation(hidden, self.activation, ws, name + ".act")
+        return ops.linear(hidden, self.w2, self.b2, ws, name + ".o")
 
 
 class LayerNormPlan:
@@ -94,8 +107,8 @@ class LayerNormPlan:
     def __init__(self, gamma, beta, eps: float):
         self.gamma, self.beta, self.eps = gamma, beta, eps
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return ops.layer_norm(x, self.gamma, self.beta, self.eps)
+    def __call__(self, x: np.ndarray, ws=None, name: str = "norm") -> np.ndarray:
+        return ops.layer_norm(x, self.gamma, self.beta, self.eps, ws, name)
 
 
 class AttentionPlan:
@@ -136,27 +149,47 @@ class AttentionPlan:
         batch, length, _ = x.shape
         return x.reshape(batch, length, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def _attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        scores = q @ k.swapaxes(-1, -2)
+    def _attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray, ws, name: str) -> np.ndarray:
+        # The batch comes from the keys: a batch-1 query (the incremental
+        # tick's shared decoder stage) broadcasts over every sequence's memory.
+        _, heads, length, d_head = q.shape
+        batch, _, keys, _ = k.shape
+        dtype = self.wq.dtype
+        scores = np.matmul(
+            q, k.swapaxes(-1, -2),
+            out=ws and ws.get(name + ".scores", (batch, heads, length, keys), dtype),
+        )
         np.multiply(scores, self.scale, out=scores)
-        attended = ops.softmax(scores) @ v
-        batch, heads, length, d_head = attended.shape
-        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, heads * d_head)
-        return ops.linear(merged, self.wo, self.bo)
+        ops.softmax(scores, ws, name + ".sm")
+        attended = np.matmul(
+            scores, v, out=ws and ws.get(name + ".att", (batch, heads, length, d_head), dtype)
+        )
+        merged = ops.scratch(ws, name + ".merge", (batch, length, heads * d_head), dtype)
+        np.copyto(merged.reshape(batch, length, heads, d_head), attended.transpose(0, 2, 1, 3))
+        return ops.linear(merged, self.wo, self.bo, ws, name + ".out")
 
-    def self_attention(self, x: np.ndarray) -> np.ndarray:
-        qkv = x[None] @ self.wqkv[:, None]
-        qkv += self.bqkv
+    def self_attention(self, x: np.ndarray, ws=None, name: str = "sa") -> np.ndarray:
+        batch, length, d_model = x.shape
+        qkv = np.matmul(
+            x[None], self.wqkv[:, None],
+            out=ws and ws.get(name + ".qkv", (3, batch, length, d_model), self.wq.dtype),
+        )
+        np.add(qkv, self.bqkv, out=qkv)
         return self._attend(
-            self._split_heads(qkv[0]), self._split_heads(qkv[1]), self._split_heads(qkv[2])
+            self._split_heads(qkv[0]), self._split_heads(qkv[1]), self._split_heads(qkv[2]),
+            ws, name,
         )
 
-    def cross(self, x: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        q = ops.linear(x, self.wq, self.bq)
-        kv = memory[None] @ self.wkv[:, None]
-        kv += self.bkv
+    def cross(self, x: np.ndarray, memory: np.ndarray, ws=None, name: str = "ca") -> np.ndarray:
+        batch, keys, d_model = memory.shape
+        q = ops.linear(x, self.wq, self.bq, ws, name + ".q")
+        kv = np.matmul(
+            memory[None], self.wkv[:, None],
+            out=ws and ws.get(name + ".kv", (2, batch, keys, d_model), self.wq.dtype),
+        )
+        np.add(kv, self.bkv, out=kv)
         return self._attend(
-            self._split_heads(q), self._split_heads(kv[0]), self._split_heads(kv[1])
+            self._split_heads(q), self._split_heads(kv[0]), self._split_heads(kv[1]), ws, name
         )
 
 
@@ -170,13 +203,13 @@ class EncoderLayerPlan:
         self.feed_forward = feed_forward
         self.norm1, self.norm2 = norm1, norm2
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        attended = self.self_attention.self_attention(x)
+    def __call__(self, x: np.ndarray, ws=None, name: str = "enc") -> np.ndarray:
+        attended = self.self_attention.self_attention(x, ws, name + ".sa")
         np.add(x, attended, out=attended)
-        x = self.norm1(attended)
-        transformed = self.feed_forward(x)
+        x = self.norm1(attended, ws, name + ".n1")
+        transformed = self.feed_forward(x, ws, name + ".ff")
         np.add(x, transformed, out=transformed)
-        return self.norm2(transformed)
+        return self.norm2(transformed, ws, name + ".n2")
 
 
 class DecoderLayerPlan:
@@ -196,21 +229,21 @@ class DecoderLayerPlan:
         self.feed_forward = feed_forward
         self.norm1, self.norm2, self.norm3 = norm1, norm2, norm3
 
-    def self_stage(self, x: np.ndarray) -> np.ndarray:
-        attended = self.self_attention.self_attention(x)
+    def self_stage(self, x: np.ndarray, ws=None, name: str = "dec") -> np.ndarray:
+        attended = self.self_attention.self_attention(x, ws, name + ".sa")
         np.add(x, attended, out=attended)
-        return self.norm1(attended)
+        return self.norm1(attended, ws, name + ".n1")
 
-    def cross_stage(self, x: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        cross = self.cross_attention.cross(x, memory)
+    def cross_stage(self, x: np.ndarray, memory: np.ndarray, ws=None, name: str = "dec") -> np.ndarray:
+        cross = self.cross_attention.cross(x, memory, ws, name + ".ca")
         np.add(x, cross, out=cross)
-        x = self.norm2(cross)
-        transformed = self.feed_forward(x)
+        x = self.norm2(cross, ws, name + ".n2")
+        transformed = self.feed_forward(x, ws, name + ".ff")
         np.add(x, transformed, out=transformed)
-        return self.norm3(transformed)
+        return self.norm3(transformed, ws, name + ".n3")
 
-    def __call__(self, x: np.ndarray, memory: np.ndarray) -> np.ndarray:
-        return self.cross_stage(self.self_stage(x), memory)
+    def __call__(self, x: np.ndarray, memory: np.ndarray, ws=None, name: str = "dec") -> np.ndarray:
+        return self.cross_stage(self.self_stage(x, ws, name), memory, ws, name)
 
 
 class TimeEmbeddingPlan:
@@ -304,7 +337,10 @@ class TemporalPlan:
 
     Replays :class:`repro.core.temporal.TemporalReconstructionModule.forward`
     (both conditioning modes, univariate and multivariate layouts, long- and
-    short-window reconstruction targets) on raw ndarrays.
+    short-window reconstruction targets) on raw ndarrays.  ``forward``
+    embeds the windows and runs the ``encode``/``decode``/``head`` stages;
+    the incremental tick stages its inputs from its rings and runs the
+    same stages with its arena.
     """
 
     __slots__ = (
@@ -419,6 +455,39 @@ class TemporalPlan:
         return np.repeat(embedding, num_variates, axis=0)
 
     # ------------------------------------------------------------------
+    # stages — shared by the full forward and the incremental tick
+    # ------------------------------------------------------------------
+    def encode(self, encoder_input: np.ndarray, ws=None) -> np.ndarray:
+        """The encoder stack over the embedded encoder input."""
+        memory = encoder_input
+        for index, layer in enumerate(self.encoder_layers):
+            memory = layer(memory, ws, f"enc{index}")
+        return memory
+
+    def decode(
+        self, decoded: np.ndarray, memory: np.ndarray, ws=None, *, self_staged: bool = False
+    ) -> np.ndarray:
+        """The decoder stack; ``self_staged`` when ``decoded`` already went
+        through the first layer's self stage (the memoized shared stage)."""
+        for index, layer in enumerate(self.decoder_layers):
+            if index == 0 and self_staged:
+                decoded = layer.cross_stage(decoded, memory, ws, "dec0")
+            else:
+                decoded = layer(decoded, memory, ws, f"dec{index}")
+        return decoded
+
+    def head(self, decoded: np.ndarray, batch: int, variates: int, ws=None) -> np.ndarray:
+        """Reconstruction head, unfolded to ``(batch, variates, omega)``."""
+        hidden = self.output_ffn(decoded, ws, "head.ffn")
+        projected = ops.linear(
+            hidden, self.output_projection_w, self.output_projection_b, ws, "head.proj"
+        )
+        projected = ops.sigmoid(projected, ws, "head.sig")
+        if self.multivariate_input:
+            return projected.transpose(0, 2, 1)
+        return projected.reshape(batch, variates, -1)
+
+    # ------------------------------------------------------------------
     def forward(
         self,
         long_windows: np.ndarray,
@@ -446,46 +515,34 @@ class TemporalPlan:
             short_times = long_times
             omega = window
 
-        decoder_input = None  # set on the paths where it is fully expanded
-        if self.conditioning == "masked":
-            context = long_windows[:, :, : window - omega]
-            context_times = long_times[:, : window - omega]
-            encoder_input = self._embed_values(
-                context,
-                self.encoder_embedding_w,
-                self.encoder_embedding_b,
-                self.time_embedding(context_times),
-            )
-            decoder_time, decoder_token = self.time_embedding.embed(
-                short_times, position_offset=window - omega
-            )
-            if self.multivariate_input:
-                decoder_input = decoder_time
-        else:
+        if self.conditioning == "full":
             encoder_input = self._embed_values(
                 long_windows,
                 self.encoder_embedding_w,
                 self.encoder_embedding_b,
                 self.time_embedding(long_times),
             )
-            decoder_time = None
             decoder_input = self._embed_values(
                 short_windows,
                 self.decoder_embedding_w,
                 self.decoder_embedding_b,
                 self.time_embedding(short_times, position_offset=window - omega),
             )
+            decoded = self.decode(decoder_input, self.encode(encoder_input))
+            return self.head(decoded, batch, variates)
 
-        memory = encoder_input
-        for layer in self.encoder_layers:
-            memory = layer(memory)
-
-        if decoder_input is not None or not self.decoder_layers:
-            if decoder_input is None:
-                decoder_input = self._expand_time(decoder_time, variates)
-            decoded = decoder_input
-            for layer in self.decoder_layers:
-                decoded = layer(decoded, memory)
+        encoder_input = self._embed_values(
+            long_windows[:, :, : window - omega],
+            self.encoder_embedding_w,
+            self.encoder_embedding_b,
+            self.time_embedding(long_times[:, : window - omega]),
+        )
+        memory = self.encode(encoder_input)
+        decoder_time, decoder_token = self.time_embedding.embed(
+            short_times, position_offset=window - omega
+        )
+        if self.multivariate_input or not self.decoder_layers:
+            decoded = self.decode(self._expand_time(decoder_time, variates), memory)
         else:
             # Masked univariate mode: the decoder input is the short-window
             # time embedding, identical for every folded variate of a window.
@@ -493,18 +550,10 @@ class TemporalPlan:
             # across variates for the cross-attention against the per-variate
             # memory (duplicated batch rows produce duplicated bits).
             compact = self._decoder_self_stage(decoder_time, decoder_token)
-            decoded = self.decoder_layers[0].cross_stage(
-                np.repeat(compact, variates, axis=0), memory
+            decoded = self.decode(
+                np.repeat(compact, variates, axis=0), memory, self_staged=True
             )
-            for layer in self.decoder_layers[1:]:
-                decoded = layer(decoded, memory)
-
-        projected = ops.sigmoid(
-            ops.linear(self.output_ffn(decoded), self.output_projection_w, self.output_projection_b)
-        )
-        if self.multivariate_input:
-            return projected.transpose(0, 2, 1)
-        return projected.reshape(batch, variates, omega)
+        return self.head(decoded, batch, variates)
 
     __call__ = forward
 
@@ -583,6 +632,20 @@ class NoisePlan:
         self._dynamic_state = state
         return smoothed
 
+    def normalize_adjacency(self, adjacency: np.ndarray) -> np.ndarray:
+        """Degree-normalize a fresh ``(B, N, N)`` adjacency stack in place.
+
+        Batched ``normalize_adjacency``: the same elementwise expressions as
+        the per-window calls in ``repro.nn.graph``.
+        """
+        if self.remove_self_loops:
+            diagonal = np.arange(adjacency.shape[-1])
+            adjacency[:, diagonal, diagonal] = 0.0
+        degree = np.abs(adjacency).sum(axis=2)
+        inverse_degree = np.where(degree > _GRAPH_EPS, 1.0 / (degree + _GRAPH_EPS), 0.0)
+        np.multiply(inverse_degree[:, :, None], adjacency, out=adjacency)
+        return adjacency
+
     # ------------------------------------------------------------------
     def forward(self, errors: np.ndarray, short_windows: np.ndarray) -> np.ndarray:
         errors = np.asarray(errors, dtype=self.dtype)
@@ -597,21 +660,12 @@ class NoisePlan:
             )
 
         if self.graph_mode == "static":
-            normalized = np.ones((batch, num_variates, num_variates), dtype=errors.dtype)
+            adjacency = np.ones((batch, num_variates, num_variates), dtype=errors.dtype)
             self.last_adjacency = np.ones((num_variates, num_variates), dtype=errors.dtype)
         else:
-            normalized = self._adjacency_for(errors)
-            self.last_adjacency = normalized[-1].copy()
-
-        # Batched ``normalize_adjacency``: same elementwise expressions as the
-        # per-window calls in ``repro.nn.graph``, applied in place on the
-        # fresh adjacency stack.
-        if self.remove_self_loops:
-            diagonal = np.arange(num_variates)
-            normalized[:, diagonal, diagonal] = 0.0
-        degree = np.abs(normalized).sum(axis=2)
-        inverse_degree = np.where(degree > _GRAPH_EPS, 1.0 / (degree + _GRAPH_EPS), 0.0)
-        np.multiply(inverse_degree[:, :, None], normalized, out=normalized)
+            adjacency = self._adjacency_for(errors)
+            self.last_adjacency = adjacency[-1].copy()
+        normalized = self.normalize_adjacency(adjacency)
 
         features = errors if self.scales is None else errors * self.scales[None, :, None]
         propagated = normalized @ features

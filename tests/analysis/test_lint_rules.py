@@ -14,6 +14,8 @@ import pytest
 
 from repro.analysis import DEFAULT_TARGETS, hot_path, lint_paths, lint_source
 from repro.analysis.__main__ import main as analysis_main
+from repro.analysis.hotpath import HOT_PATHS
+from repro.analysis.lint import FileContext
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -293,6 +295,22 @@ class TestCli:
             assert f"{name}:" in out
 
 
+class TestHotPathManifest:
+    def test_every_entry_resolves_to_a_function(self):
+        """A stale manifest entry covers nothing: each key must name a real function."""
+        stale = []
+        for key in HOT_PATHS:
+            path, _, qualname = key.partition("::")
+            module = REPO_ROOT / "src" / path
+            if not module.is_file():
+                stale.append(key)
+                continue
+            context = FileContext(str(module), module.read_text(encoding="utf-8"))
+            if qualname not in {name for _, name, _ in context.hot_functions()}:
+                stale.append(key)
+        assert stale == [], f"HOT_PATHS entries that resolve to no function: {stale}"
+
+
 class TestMutationChecks:
     """Injected violations into the *real* tree must produce named findings."""
 
@@ -312,18 +330,18 @@ class TestMutationChecks:
 
     def test_allocation_in_incremental_kernel_is_caught(self):
         mutated = self._mutate(
-            "src/repro/runtime/incremental.py",
-            "def _ws_linear(arena: ScratchArena, name: str, x, weight, bias):",
+            "src/repro/runtime/ops.py",
+            "    out = ws and ws.get(name, x.shape[:-1] + (weight.shape[-1],), weight.dtype)",
             "    staging = np.empty(x.shape, dtype=x.dtype)",
         )
-        findings = lint_source(mutated, path="src/repro/runtime/incremental.py")
+        findings = lint_source(mutated, path="src/repro/runtime/ops.py")
         assert "hot-alloc" in rules_of(findings)
 
     def test_out_less_ufunc_in_strict_kernel_is_caught(self):
         mutated = self._mutate(
-            "src/repro/runtime/incremental.py",
-            "def _sigmoid_inplace(out):",
-            "    probe = np.exp(out)",
+            "src/repro/runtime/ops.py",
+            'def sigmoid(x: np.ndarray, ws=None, name: str = "sigmoid") -> np.ndarray:',
+            "    probe = np.exp(x)",
         )
-        findings = lint_source(mutated, path="src/repro/runtime/incremental.py")
+        findings = lint_source(mutated, path="src/repro/runtime/ops.py")
         assert "hot-ufunc-out" in rules_of(findings)

@@ -1,12 +1,10 @@
-"""Unit tests for metrics, point-adjust, POT/SPOT and the evaluation protocol."""
+"""Unit tests for metrics, point-adjust, POT and the evaluation protocol."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.evaluation import (
-    DSPOT,
-    SPOT,
     adjust_predictions,
     anomaly_segments,
     best_f1_evaluation,
@@ -142,29 +140,6 @@ class TestGPDAndPOT:
     def test_pot_threshold_small_sample_fallback(self):
         scores = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         assert np.isfinite(pot_threshold(scores))
-
-    def test_spot_streaming(self):
-        rng = np.random.default_rng(3)
-        spot = SPOT(q=1e-3, level=0.98).fit(rng.normal(0, 1, size=2000))
-        alarms = spot.detect(np.array([0.1, 0.2, 8.0, 0.3]))
-        assert alarms[2] == 1
-        assert alarms[[0, 1, 3]].sum() == 0
-
-    def test_spot_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            SPOT().step(1.0)
-        with pytest.raises(ValueError):
-            SPOT().fit(np.ones(3))
-
-    def test_dspot_handles_drift(self):
-        rng = np.random.default_rng(4)
-        calibration = rng.normal(0, 1, size=2000)
-        dspot = DSPOT(q=1e-3, level=0.98, depth=10).fit(calibration)
-        # A slow drift should not trigger alarms, but a spike on top should.
-        drift = np.linspace(0, 0.5, 50) + rng.normal(0, 0.5, size=50)
-        alarms = dspot.detect(drift)
-        assert alarms.sum() <= 2
-        assert dspot.step(drift[-1] + 20.0)
 
 
 class TestEvaluationProtocol:

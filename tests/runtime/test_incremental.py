@@ -24,6 +24,9 @@ WINDOW = 16
 SHORT = 6
 NUM_STACKS = 3
 TICKS = 18
+#: Fleet size and bound of the per-tick peak-allocation pin.
+PEAK_STACKS = 128
+PEAK_BOUND = 256 * 1024
 
 
 def _make_series(num_points: int, num_variates: int, seed: int) -> np.ndarray:
@@ -107,13 +110,17 @@ def _assert_pairs_equal(pairs) -> None:
 
 
 class TestIncrementalBitEquality:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
     def test_matches_fused_stack_real_times(
-        self, name, fitted_variants, test_series, timestamps
+        self, name, dtype, fitted_variants, test_series, timestamps
     ):
+        # One kernel body serves both paths, so the tick equals score_stack
+        # bit for bit in either precision (float32 is not equal to the
+        # autograd forward, but it is to its own full compiled forward).
         detector = fitted_variants[name]
-        compiled = compile_detector(detector)
-        reference = compile_detector(detector)
+        compiled = compile_detector(detector, dtype=dtype)
+        reference = compile_detector(detector, dtype=dtype)
         scaled = compiled.scaler.transform(test_series)
         state, pairs = _drive(compiled, reference, scaled, timestamps)
         _assert_pairs_equal(pairs)
@@ -380,3 +387,71 @@ class TestSteadyStateAllocations:
         # The emitted (num_stacks, N) score vectors are freed every
         # iteration; allow only incidental interpreter noise.
         assert after - before < 4096, f"steady-state ticks leaked {after - before} bytes"
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            "masked-univariate-window",
+            "masked-univariate-static",
+            "masked-multivariate-window",
+            "full-univariate-window",
+            "full-multivariate-static",
+            "gcn-only-static",
+        ],
+    )
+    def test_tick_peak_allocation_is_bounded(self, profile, fitted_variants, train_series):
+        """A steady-state tick allocates no full-size activation (peak pin).
+
+        Net heap growth alone cannot see a call site that forgets to pass
+        the arena: numpy then allocates that intermediate and frees it
+        within the tick.  The tracemalloc *peak* above the pre-tick
+        baseline can.  At 128 stacks many arena buffers are at least
+        :data:`PEAK_BOUND` (asserted below), so a missed workspace on any
+        of them breaks the bound; what legitimately remains is the emitted
+        score vector and numpy's own iterator buffers (at most 64 KiB each,
+        for broadcast or mixed-dtype ufuncs writing through ``out=``).
+        """
+        conditioning, fold, graph = (
+            ("masked", "univariate", "static") if profile == "gcn-only-static"
+            else profile.split("-")
+        )
+        if profile == "gcn-only-static":
+            detector = AeroDetector(_fast_config(), use_temporal=False, graph_mode="static")
+            detector.fit(train_series)
+        elif conditioning == "masked" and graph == "static":
+            detector = fitted_variants["static_graph"]
+        elif conditioning == "masked":
+            multivariate = fold == "multivariate"
+            detector = fitted_variants["no_univariate_input" if multivariate else "full"]
+        else:
+            detector = AeroDetector(
+                _fast_config(conditioning="full"),
+                multivariate_input=fold == "multivariate",
+                graph_mode=graph,
+            )
+            detector.fit(train_series)
+        compiled = compile_detector(detector)
+        rng = np.random.default_rng(5)
+        state = compiled.new_incremental_state(PEAK_STACKS)
+        state.rebuild(rng.random((PEAK_STACKS, WINDOW, NUM_VARIATES)))
+        rows = rng.random((8, PEAK_STACKS, NUM_VARIATES))
+        for i in range(12):  # warm the arena and the memos
+            compiled.score_stack_step(state, rows[i % 8])
+        peaks = []
+        tracemalloc.start()
+        try:
+            for i in range(8):
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                compiled.score_stack_step(state, rows[i])
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - before)
+        finally:
+            tracemalloc.stop()
+        assert state.incremental_ticks > 0 and state.fallbacks == 0
+        if profile != "gcn-only-static":
+            large = [b for b in state.arena._buffers.values() if b.nbytes >= PEAK_BOUND]
+            assert large, "no arena buffer reaches the bound: the pin would have no teeth"
+        assert max(peaks) < PEAK_BOUND, (
+            f"{profile}: a tick peaked {max(peaks)} bytes above its baseline"
+        )
