@@ -53,8 +53,13 @@ HOT_PATHS: dict[str, str] = {
     "repro/runtime/incremental.py::IncrementalState.score": "strict",
     "repro/runtime/incremental.py::IncrementalState._score_full": "strict",
     "repro/runtime/incremental.py::_stage_input": "strict",
+    "repro/runtime/incremental.py::timeline_step": "strict",
     "repro/runtime/incremental.py::temporal_step": "strict",
     "repro/runtime/incremental.py::noise_step": "strict",
+    # one lane's share of a tick, on the calling thread or a pool worker
+    # (its score rows land in the caller's vector through ``out=``)
+    "repro/runtime/incremental.py::lane_step": "strict",
+    # the fan-out: its emitted score vector is the tick's one allocation
     "repro/runtime/incremental.py::model_step": "strict",
     "repro/runtime/compiler.py::CompiledDetector.score_stack_step": "strict",
     "repro/runtime/compiler.py::CompiledDetector.score_step": "strict",

@@ -10,15 +10,17 @@ cheaply assert per tick:
    dtype uniformity, write-locks (the ``freeze`` contract) and shape
    chains (``d_model`` threading, head divisibility, the ``(omega,
    omega)`` GCN geometry);
-2. **instrumented drive** — an :class:`IncrementalState` is rebuilt from
-   synthetic windows and ticked with a tracking arena, comparing every
-   emitted score vector bit-for-bit (float64) against the full forward
-   staged exactly as ``score_stack`` stages it (transposed window views);
+2. **instrumented drive** — an :class:`IncrementalState` on two lanes
+   (one where the model needs it) is rebuilt from synthetic windows and
+   ticked with a tracking arena per lane, comparing every emitted score
+   vector bit-for-bit (float64) against the full forward staged exactly as
+   ``score_stack`` stages it (transposed window views);
 3. **state invariants** — mirrored-ring geometry and bounds, mirror-half
-   equality, workspace aliasing (no two arena slots, and no slot and ring,
-   may share memory), steady-state arena reallocation, and the raw layout
-   of the ``model.errors`` workspace against ``score_stack``'s error
-   layout (C-contiguous univariate, transposed multivariate).
+   equality, workspace aliasing (no two arena slots — in one lane or across
+   lanes, which would race — and no slot and ring, may share memory),
+   steady-state arena reallocation, and the raw layout of each lane's
+   ``model.errors`` workspace against ``score_stack``'s error layout
+   (C-contiguous univariate, transposed multivariate).
 
 Every failure is a named :class:`PlanIssue` (``dtype-mismatch``,
 ``mutable-weight``, ``shape-mismatch``, ``workspace-alias``,
@@ -109,8 +111,8 @@ class TrackingArena(ScratchArena):
 
     __slots__ = ("steady", "reallocations")
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.steady = False
         self.reallocations: list[str] = []
 
@@ -412,64 +414,71 @@ def _check_rings(state) -> list[PlanIssue]:
 
 def _check_arena(state) -> list[PlanIssue]:
     issues: list[PlanIssue] = []
-    arena = state.arena
-    buffers = sorted(arena._buffers.items())
+    # Every lane's slots in one list: two slots sharing memory is an alias
+    # within a lane, and a data race across lanes (lanes run concurrently).
+    buffers = [
+        (f"lanes[{index}].arena[{name}]", buffer)
+        for index, lane in enumerate(state.lanes)
+        for name, buffer in sorted(lane.arena._buffers.items())
+    ]
     allowed = {np.dtype(state.dtype), np.dtype(np.bool_), np.dtype(np.float64)}
-    for name, buffer in buffers:
+    for location, buffer in buffers:
         if buffer.dtype not in allowed:
             issues.append(
                 PlanIssue(
-                    "dtype-mismatch", f"arena[{name}]",
+                    "dtype-mismatch", location,
                     f"workspace dtype {buffer.dtype.name} is neither the plan "
                     f"dtype ({np.dtype(state.dtype).name}) nor bool/float64",
                 )
             )
-    for (name_a, buffer_a), (name_b, buffer_b) in itertools.combinations(buffers, 2):
+    for (location_a, buffer_a), (location_b, buffer_b) in itertools.combinations(buffers, 2):
         if np.shares_memory(buffer_a, buffer_b):
             issues.append(
                 PlanIssue(
-                    "workspace-alias", f"arena[{name_a}] / arena[{name_b}]",
+                    "workspace-alias", f"{location_a} / {location_b}",
                     "workspace slots share memory: one kernel's output silently "
-                    "overwrites another's operand",
+                    "overwrites another's operand (or another lane's, concurrently)",
                 )
             )
-    for name, buffer in buffers:
+    for location, buffer in buffers:
         for ring_name, ring in _state_rings(state):
             if np.shares_memory(buffer, ring):
                 issues.append(
                     PlanIssue(
-                        "workspace-alias", f"arena[{name}] / state.{ring_name}",
+                        "workspace-alias", f"{location} / state.{ring_name}",
                         "workspace overlaps a history ring: a tick's scratch "
                         "writes would corrupt the buffered window",
                     )
                 )
-    errors = arena._buffers.get("model.errors")
-    if errors is not None:
-        stacks, variates, omega = state.num_stacks, state.num_variates, state.short
-        if state._uni:
-            expected = (stacks, variates, omega)
-        else:
-            # The multivariate fold stages errors transposed so the GCN sees
-            # the same strides as score_stack's `target - reconstruction`.
-            expected = (stacks, omega, variates)
-        if errors.shape != expected:
-            fold = "univariate" if state._uni else "multivariate"
-            issues.append(
-                PlanIssue(
-                    "layout-mismatch", "arena[model.errors]",
-                    f"the {fold} fold stages errors as {expected}, "
-                    f"workspace is {errors.shape}",
+    for index, lane in enumerate(state.lanes):
+        arena = lane.arena
+        errors = arena._buffers.get("model.errors")
+        if errors is not None:
+            stacks, variates, omega = lane.num_stacks, state.num_variates, state.short
+            if state._uni:
+                expected = (stacks, variates, omega)
+            else:
+                # The multivariate fold stages errors transposed so the GCN
+                # sees the same strides as score_stack's `target - reconstruction`.
+                expected = (stacks, omega, variates)
+            if errors.shape != expected:
+                fold = "univariate" if state._uni else "multivariate"
+                issues.append(
+                    PlanIssue(
+                        "layout-mismatch", f"lanes[{index}].arena[model.errors]",
+                        f"the {fold} fold stages errors as {expected}, "
+                        f"workspace is {errors.shape}",
+                    )
                 )
-            )
-    if isinstance(arena, TrackingArena):
-        for name in sorted(set(arena.reallocations)):
-            issues.append(
-                PlanIssue(
-                    "workspace-realloc", f"arena[{name}]",
-                    "slot reallocated after warm-up: the steady-state tick is "
-                    "not allocation-free",
+        if isinstance(arena, TrackingArena):
+            for name in sorted(set(arena.reallocations)):
+                issues.append(
+                    PlanIssue(
+                        "workspace-realloc", f"lanes[{index}].arena[{name}]",
+                        "slot reallocated after warm-up: the steady-state tick is "
+                        "not allocation-free",
+                    )
                 )
-            )
     return issues
 
 
@@ -490,6 +499,10 @@ def _reference_scores(model, config, windows, times) -> np.ndarray:
     ).scores
 
 
+#: Lanes of the instrumented drive (clamped to one where the model needs it).
+_DRIVE_LANES = 2
+
+
 def _dynamic_snapshot(noise):
     if noise is None or noise._dynamic_state is None:
         return None
@@ -498,9 +511,13 @@ def _dynamic_snapshot(noise):
 
 def _drive(model, config, num_stacks, ticks, rng, bitwise) -> list[PlanIssue]:
     issues: list[PlanIssue] = []
-    state = IncrementalState(model, config, num_stacks)
-    arena = TrackingArena()
-    state.arena = arena
+    # Two lanes wherever the model allows them, so every lane's arena and
+    # the lane boundary are checked, not just a one-lane tick.
+    state = IncrementalState(model, config, num_stacks, lanes=_DRIVE_LANES)
+    arenas, blocks = [], {}
+    for lane in state.lanes:
+        lane.arena = TrackingArena(blocks, lane.start, lane.stop, state.num_stacks)
+        arenas.append(lane.arena)
     window, variates = state.window, state.num_variates
 
     stack = rng.random((num_stacks, window, variates))
@@ -545,7 +562,8 @@ def _drive(model, config, num_stacks, ticks, rng, bitwise) -> list[PlanIssue]:
                 )
             )
             break
-        arena.steady = True
+        for arena in arenas:
+            arena.steady = True
     issues.extend(check_state(state))
     return issues
 

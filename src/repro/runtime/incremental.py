@@ -23,8 +23,8 @@ cross-tick invariants instead:
   (:class:`~repro.runtime.plans.TimeEmbeddingPlan`, the decoder self-stage
   memo) hold batch-1 entries, which a steady cadence hits every tick;
 * **frozen GCN graph inputs** — the ``static`` graph's degree-normalized
-  adjacency is a constant of the fleet geometry and is built once per state
-  (re)build.
+  adjacency is a constant of the fleet geometry and is built once with the
+  state.
 
 Everything that genuinely depends on the newest row — attention over the
 window, softmax normalizations, the decoder cross stages, the GCN
@@ -35,6 +35,20 @@ state's :class:`ScratchArena` as their workspace.  The full forward passes
 none and numpy allocates; here every intermediate lands in a named arena
 slot.  Same code, same ufunc/GEMM sequence — so float64 incremental scores
 are bit-for-bit equal to the full compiled forward.
+
+Lanes: AERO reconstructs each star on its own and couples stars only
+inside one stack's window graph, so the stacks of a tick share no
+arithmetic.  A state splits its stacks into contiguous *lanes*, each with
+its own :class:`ScratchArena`; a tick runs the shared timeline stages on the
+calling thread, then every lane's stages on a process-wide pool of
+threads pinned one per CPU (numpy releases the GIL inside ufuncs and BLAS,
+so lanes occupy separate cores).  Each lane runs the same
+per-slice kernels on its own stacks, so scores are bit-identical whatever
+the lane count.  The count is fixed per state: one lane per usable CPU
+while every lane keeps at least :data:`_MIN_LANE_WORK` of encoder work
+(below that a second lane loses to thread hand-off), and always one lane
+for ``graph_mode="dynamic"`` (its adjacency is a recurrence over the batch)
+and the full-forward fallback.
 
 A steady-state tick therefore allocates no array of its own beyond the
 emitted score vector.  What remains is numpy's own transient: a broadcast
@@ -55,6 +69,10 @@ forward transparently, counted in :attr:`IncrementalState.fallbacks`.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,11 +82,22 @@ from . import ops
 if TYPE_CHECKING:  # pragma: no cover - imports only for type checkers
     from .plans import CompiledModel, NoisePlan, TemporalPlan
 
-__all__ = ["IncrementalState", "ScratchArena", "temporal_step", "noise_step", "model_step"]
+__all__ = [
+    "IncrementalState", "ScratchArena",
+    "timeline_step", "temporal_step", "noise_step", "lane_step", "model_step",
+]
+
+#: Encoder work — folded sequences × encoder rows × ``d_model`` — each lane
+#: must keep for a second lane to pay.  Pinned from the 1-vs-2-lane
+#: crossover measured at the wide-night geometry (24 encoder rows,
+#: ``d_model`` 24; 2-vCPU VM, BLAS on one thread, two sweeps of 30
+#: interleaved blocks per size): lanes of 48 folded sequences won every
+#: block, lanes of 40 lost 2 of 30 in one sweep, lanes of 24 lost 12.
+_MIN_LANE_WORK = 48 * 24 * 24
 
 
 class ScratchArena:
-    """Named preallocated scratch buffers for one incremental state.
+    """Named preallocated scratch buffers for one lane of an incremental state.
 
     ``get(name, shape, dtype)`` returns the same buffer on every tick: the
     state passes the arena as the workspace of the :mod:`repro.runtime.ops`
@@ -78,23 +107,157 @@ class ScratchArena:
     which rebuilds the state anyway) transparently reallocates the slot.
     An arena is always truthy (it defines no ``__len__``): the kernels'
     ``out=ws and ws.get(…)`` relies on that.
+
+    Lanes split the state's arena rather than copy it: the arenas of a
+    state's lanes share ``blocks``, one buffer per slot name sized for all
+    ``total`` stacks, and this arena's slot is the byte range of its
+    ``[start, stop)`` stacks.  A many-lane state thus allocates (and frees)
+    the very buffers a one-lane state does, which keeps the process's
+    malloc behaviour independent of the lane count (glibc sizes its mmap
+    threshold from the largest buffer freed: halved slots made later large
+    temporaries fault in fresh pages).  Slots whose size does not split by
+    stack get their own buffer.
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_buffers", "_blocks", "_start", "_stacks", "_total")
 
-    def __init__(self) -> None:
+    def __init__(self, blocks: dict | None = None, start: int = 0, stop: int = 1,
+                 total: int = 1) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self._blocks = {} if blocks is None else blocks
+        self._start, self._stacks, self._total = start, stop - start, total
 
     def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
         buffer = self._buffers.get(name)
         if buffer is None or buffer.shape != tuple(shape) or buffer.dtype != np.dtype(dtype):
-            buffer = np.empty(shape, dtype=dtype)  # repro: allow[hot-alloc] -- first-touch/geometry-change only; steady-state ticks hit the cached slot
+            buffer = self._carve(name, shape, np.dtype(dtype))
             self._buffers[name] = buffer
         return buffer
+
+    def _carve(self, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        nbytes = dtype.itemsize * int(np.prod(shape))
+        per_stack, rest = divmod(nbytes, self._stacks)
+        if self._stacks == self._total or rest or per_stack % dtype.itemsize:
+            return np.empty(shape, dtype=dtype)
+        block = self._blocks.get(name)
+        if block is None:
+            block = np.empty(per_stack * self._total, dtype=np.uint8)
+            self._blocks[name] = block
+        elif block.nbytes != per_stack * self._total:  # not per-stack: a batch-1 slot
+            return np.empty(shape, dtype=dtype)
+        offset = per_stack * self._start
+        return block[offset : offset + nbytes].view(dtype).reshape(shape)
 
     @property
     def nbytes(self) -> int:
         return sum(buffer.nbytes for buffer in self._buffers.values())
+
+
+# ----------------------------------------------------------------------
+# lanes
+# ----------------------------------------------------------------------
+def _cpu_set() -> list[int]:
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return list(range(os.cpu_count() or 1))
+
+
+def _usable_cpus() -> int:
+    return len(_cpu_set())
+
+
+def _lane_count(model: "CompiledModel", config, num_stacks: int) -> int:
+    """Lanes for a state: one per usable CPU while each keeps enough work.
+
+    The work of a tick is its encoder input — folded sequences × encoder
+    rows × ``d_model`` — which a lane must hold at least
+    :data:`_MIN_LANE_WORK` of.  Temporal-free models have no encoder and
+    serve on one lane.
+    """
+    temporal = model.temporal
+    if temporal is None:
+        return 1
+    sequences = num_stacks if temporal.multivariate_input else num_stacks * model.num_variates
+    rows = config.window
+    if temporal.conditioning == "masked":
+        rows -= config.short_window
+    work = sequences * rows * temporal.encoder_embedding_w.shape[1]
+    return max(1, min(_usable_cpus(), work // _MIN_LANE_WORK))
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _lane_pool() -> ThreadPoolExecutor:
+    """The process-wide pool lanes run on: one worker pinned to each usable CPU.
+
+    A multi-lane tick runs every lane here while the calling thread waits.
+    Left to the scheduler's wake-up placement, a worker could share the
+    calling thread's CPU for a whole run (two lanes on one core lose to one
+    lane); the calling thread is the serving front's own and cannot be
+    pinned, so it does not run a lane.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = _cpu_set()
+            _pool = ThreadPoolExecutor(
+                len(cpus),
+                thread_name_prefix="repro-lane",
+                initializer=_pin_worker,
+                initargs=(cpus, itertools.count()),
+            )
+        return _pool
+
+
+def _pin_worker(cpus: list[int], started) -> None:
+    try:
+        os.sched_setaffinity(0, {cpus[next(started) % len(cpus)]})
+    except (AttributeError, OSError):  # no per-thread affinity here
+        pass
+
+
+def _forget_pool() -> None:
+    # A pool inherited over fork has no threads, so its futures would never
+    # complete: a forked child starts its own on first use.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+class _Lane:
+    """Stacks ``[start, stop)`` of a state: views of its rings, its own arena.
+
+    The views slice the state's rings along the stack axis (zero-copy, so
+    ``append``/``rebuild`` feed every lane at once); the arena's slots are
+    the lane's stack range of the state's shared blocks, so lanes never
+    share a workspace byte.  A lane keeps no reference to its state (no
+    cycle: a dropped state frees its rings and arenas at once).
+    """
+
+    __slots__ = (
+        "start", "stop", "num_stacks", "arena",
+        "values", "enc_embed", "dec_embed", "features", "static_norm",
+    )
+
+    def __init__(self, state: "IncrementalState", start: int, stop: int, blocks: dict):
+        self.start, self.stop = start, stop
+        self.num_stacks = stop - start
+        self.arena = ScratchArena(blocks, start, stop, state.num_stacks)
+        # The univariate fold keeps one ring row per (stack, variate).
+        variates = state.num_variates if state._uni else 1
+        rows = slice(start * variates, stop * variates)
+        self.values = state._values[rows]
+        self.enc_embed = None if state._enc_embed is None else state._enc_embed[rows]
+        self.dec_embed = None if state._dec_embed is None else state._dec_embed[rows]
+        self.features = None if state._features is None else state._features[start:stop]
+        self.static_norm = None if state._static_norm is None else state._static_norm[start:stop]
 
 
 # ----------------------------------------------------------------------
@@ -104,9 +267,12 @@ class IncrementalState:
     """Per-fleet cross-tick serving state for one :class:`CompiledModel`.
 
     Holds the mirrored ring buffers, per-row embedding rings, frozen graph
-    inputs and the scratch arena for ``num_stacks`` star stacks of the
-    model's geometry.  Built through
-    :meth:`repro.runtime.CompiledDetector.new_incremental_state`.
+    inputs and the lanes (each with its scratch arena) for ``num_stacks``
+    star stacks of the model's geometry.  Built through
+    :meth:`repro.runtime.CompiledDetector.new_incremental_state`, which
+    leaves the lane count to the automatic rule; ``lanes`` forces a count
+    (a test seam, still clamped to the stacks and to one lane where the
+    model needs it).
 
     Lifecycle: a fresh state is *invalid* (it has no history); a front
     seeds it with :meth:`rebuild` from its ring-buffer windows, after which
@@ -116,7 +282,9 @@ class IncrementalState:
     a model hot-swap) forces the next tick through :meth:`rebuild` again.
     """
 
-    def __init__(self, model: "CompiledModel", config, num_stacks: int):
+    def __init__(
+        self, model: "CompiledModel", config, num_stacks: int, *, lanes: int | None = None
+    ):
         if num_stacks <= 0:
             raise ValueError("num_stacks must be positive")
         self.model = model
@@ -126,7 +294,6 @@ class IncrementalState:
         self.window = int(config.window)
         self.short = int(config.short_window)
         self.dtype = np.dtype(model.dtype)
-        self.arena = ScratchArena()
 
         temporal = model.temporal
         #: The incremental kernels cover every ablation with a short-window
@@ -175,9 +342,37 @@ class IncrementalState:
         self._times = np.empty(mirror, dtype=np.float64)
         self.times_mode: str | None = None  # "real" | "default", locked on first use
 
-        # Frozen graph inputs -----------------------------------------------
+        # Frozen graph inputs: the static graph's degree-normalized all-ones
+        # adjacency (built with exactly the normalization sequence of
+        # NoisePlan.forward) and the full path's per-tick ``np.ones``
+        # diagnostic.
         self._static_norm: np.ndarray | None = None
         self._static_last: np.ndarray | None = None
+        if noise is not None and noise.graph_mode == "static":
+            variates = self.num_variates
+            self._static_norm = noise.normalize_adjacency(
+                np.ones((self.num_stacks, variates, variates), dtype=self.dtype)
+            )
+            self._static_last = np.ones((variates, variates), dtype=self.dtype)
+            self._static_norm.flags.writeable = False
+            self._static_last.flags.writeable = False
+
+        # Lanes: contiguous stack ranges, the first ones one stack longer ---
+        # The dynamic graph's EMA adjacency is a recurrence over the batch
+        # and the fallback runs the full forward: both keep one lane.
+        if not self._supported or (noise is not None and noise.graph_mode == "dynamic"):
+            count = 1
+        elif lanes is None:
+            count = _lane_count(model, config, self.num_stacks)
+        else:
+            count = int(lanes)
+        count = max(1, min(count, self.num_stacks))
+        size, extra = divmod(self.num_stacks, count)
+        bounds = [0]
+        for index in range(count):
+            bounds.append(bounds[-1] + size + (index < extra))
+        blocks: dict[str, np.ndarray] = {}
+        self.lanes = tuple(_Lane(self, a, b, blocks) for a, b in zip(bounds, bounds[1:]))
 
         # Lifecycle + counters ---------------------------------------------
         self.pos = 0
@@ -191,6 +386,11 @@ class IncrementalState:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
+    @property
+    def arena(self) -> ScratchArena:
+        """The first lane's arena (the only one on a one-lane state)."""
+        return self.lanes[0].arena
+
     @property
     def supported(self) -> bool:
         """Whether ticks run the incremental kernels (vs the full fallback)."""
@@ -324,55 +524,29 @@ class IncrementalState:
         ring[:, window:] = ring[:, :window]
 
     # ------------------------------------------------------------------
-    # zero-copy views over the current window
+    # zero-copy views over a lane's current window
     # ------------------------------------------------------------------
-    def values_window(self, start: int, stop: int) -> np.ndarray:
+    def values_window(self, lane: _Lane, start: int, stop: int) -> np.ndarray:
         """Rows ``[start, stop)`` of the window in fold layout (multivariate)."""
         j = self.window_start
-        return self._values[:, j + start : j + stop]
+        return lane.values[:, j + start : j + stop]
 
-    def target_view(self) -> np.ndarray:
-        """The ``(num_stacks, N, omega)`` short-window reconstruction target."""
+    def target_view(self, lane: _Lane) -> np.ndarray:
+        """The lane's ``(stacks, N, omega)`` short-window reconstruction target."""
         j = self.window_start
         begin = j + self.window - self.short
         end = j + self.window
         if self._uni:
-            return self._values[:, begin:end].reshape(
-                self.num_stacks, self.num_variates, self.short
+            return lane.values[:, begin:end].reshape(
+                lane.num_stacks, self.num_variates, self.short
             )
-        return self._values[:, begin:end].transpose(0, 2, 1)
+        return lane.values[:, begin:end].transpose(0, 2, 1)
 
-    def features_view(self) -> np.ndarray:
-        """Static-GCN scaled features over the target window (zero-copy)."""
+    def features_view(self, lane: _Lane) -> np.ndarray:
+        """The lane's static-GCN scaled features over the target window."""
         j = self.window_start
         begin = j + self.window - self.short
-        return self._features[:, begin : j + self.window].transpose(0, 2, 1)
-
-    # ------------------------------------------------------------------
-    # frozen graph inputs
-    # ------------------------------------------------------------------
-    def static_adjacency(self, plan: "NoisePlan") -> np.ndarray:
-        """The degree-normalized all-ones adjacency of the static graph.
-
-        A constant of the fleet geometry, built once with exactly the
-        normalization sequence of :meth:`NoisePlan.forward` and frozen.
-        """
-        if self._static_norm is None:
-            variates = self.num_variates
-            normalized = plan.normalize_adjacency(
-                np.ones((self.num_stacks, variates, variates), dtype=self.dtype)
-            )
-            normalized.flags.writeable = False
-            self._static_norm = normalized
-        return self._static_norm
-
-    def static_last_adjacency(self) -> np.ndarray:
-        """Frozen mirror of the full path's per-tick ``np.ones`` diagnostic."""
-        if self._static_last is None:
-            last = np.ones((self.num_variates, self.num_variates), dtype=self.dtype)
-            last.flags.writeable = False
-            self._static_last = last
-        return self._static_last
+        return lane.features[:, begin : j + self.window].transpose(0, 2, 1)
 
     # ------------------------------------------------------------------
     def score(self) -> np.ndarray:
@@ -429,86 +603,105 @@ class IncrementalState:
 # per-tick module steps
 # ----------------------------------------------------------------------
 def _stage_input(
-    plan: "TemporalPlan", state: IncrementalState, name: str, start: int, stop: int,
-    weight, bias, ring, time,
+    plan: "TemporalPlan", state: IncrementalState, lane: _Lane, name: str,
+    start: int, stop: int, weight, bias, ring, time,
 ) -> np.ndarray:
     """Value embedding plus time embedding of window rows ``[start, stop)``.
 
-    The multivariate fold projects the ring's window view; the univariate
-    fold reads the per-row embeddings cached in ``ring`` and adds the
-    batch-1 time embedding across the folded sequences.
+    The multivariate fold projects the lane's window view; the univariate
+    fold reads the per-row embeddings cached in the lane's ``ring`` view and
+    adds the batch-1 time embedding across the folded sequences.
     """
-    arena = state.arena
+    arena = lane.arena
     if plan.multivariate_input:
-        embedded = ops.linear(state.values_window(start, stop), weight, bias, arena, name)
+        embedded = ops.linear(state.values_window(lane, start, stop), weight, bias, arena, name)
         np.add(embedded, time, out=embedded)
         return embedded
-    stacks, variates = state.num_stacks, state.num_variates
+    stacks, variates = lane.num_stacks, state.num_variates
     j = state.window_start
     cached = ring[:, j + start : j + stop]
     length, d_model = cached.shape[1:]
     embedded = arena.get(name, (stacks * variates, length, d_model), plan.dtype)
-    np.add(
-        cached.reshape(stacks, variates, length, d_model),
-        time[:, None],
-        out=embedded.reshape(stacks, variates, length, d_model),
-    )
+    grouped = embedded.reshape(stacks, variates, length, d_model)
+    # Broadcast first, then add the strided ring view in place: one strided
+    # operand per ufunc, so numpy's iterator buffers one operand at a time
+    # (the per-tick peak pin counts every lane's buffers at once).  Addition
+    # commutes bitwise, so ``time + cached`` is ``cached + time``.
+    np.copyto(grouped, time[:, None])
+    np.add(grouped, cached.reshape(stacks, variates, length, d_model), out=grouped)
     return embedded
 
 
-def temporal_step(plan: "TemporalPlan", state: IncrementalState) -> np.ndarray:
-    """One-tick temporal reconstruction over ``state``'s current window.
+def timeline_step(plan: "TemporalPlan", state: IncrementalState) -> tuple:
+    """The tick's shared exposure-timeline stages, once, at batch 1.
 
-    Stages the encoder (and, under full conditioning, decoder) input from
-    the state rings — the window values, the per-row value embeddings and
-    the shared timeline — then runs the plan's own ``encode``/``decode``/
-    ``head`` stages into the state's arena.  Returns the
-    ``(num_stacks, N, omega)`` reconstruction (a workspace view).
-
-    Every stack shares the one exposure timeline, so the timeline-only
-    stages — both time embeddings and, under masked conditioning, the first
-    decoder layer's self stage and cross-attention query — run once at
-    batch 1 and broadcast over the folded sequences.  Broadcasting repeats
-    operands, never reorders arithmetic, so every output element sees the
-    same ufunc/GEMM sequence as the per-stack full forward.
+    Every stack shares the one exposure timeline, so the encoder time
+    embedding and the decoder input's timeline part depend on nothing
+    else: under full conditioning the decoder time embedding, under masked
+    conditioning the decoder input itself (the first decoder layer's self
+    stage over the time embedding, or the bare embedding without decoder
+    layers).  Runs on the calling thread, which alone inserts into the plan
+    memos; returns ``(encoder_time, decoder)`` for the lanes to read.
     """
-    arena = state.arena
-    stacks = state.num_stacks
-    variates = state.num_variates
     window = state.window
     context = window - state.short
     j = state.window_start
-    masked = plan.conditioning == "masked"
-
     if state.times_mode == "real":
         long_times = state._times[None, j : j + window]
     else:
         long_times = plan._default_long_times(1, window)
+    if plan.conditioning != "masked":
+        return (
+            plan.time_embedding(long_times),
+            plan.time_embedding(long_times[:, context:], position_offset=context),
+        )
+    encoder_time = plan.time_embedding(long_times[:, :context])
+    decoder_time, decoder_token = plan.time_embedding.embed(
+        long_times[:, context:], position_offset=context
+    )
+    if plan.decoder_layers:
+        return encoder_time, plan._decoder_self_stage(decoder_time, decoder_token)
+    return encoder_time, decoder_time
 
-    stop = context if masked else window
+
+def temporal_step(
+    plan: "TemporalPlan", state: IncrementalState, lane: _Lane,
+    encoder_time: np.ndarray, decoder: np.ndarray,
+) -> np.ndarray:
+    """One lane's temporal reconstruction over the current window.
+
+    Stages the encoder (and, under full conditioning, decoder) input from
+    the lane's ring views plus the shared :func:`timeline_step` results,
+    then runs the plan's own ``encode``/``decode``/``head`` stages into the
+    lane's arena.  Returns the lane's ``(stacks, N, omega)`` reconstruction
+    (a workspace view).  The batch-1 timeline operands broadcast over the
+    folded sequences; broadcasting repeats operands, never reorders
+    arithmetic, so every output element sees the same ufunc/GEMM sequence
+    as the per-stack full forward.
+    """
+    arena = lane.arena
+    window = state.window
+    context = window - state.short
+    stacks, variates = lane.num_stacks, state.num_variates
+    masked = plan.conditioning == "masked"
+
     memory = plan.encode(
         _stage_input(
-            plan, state, "enc.in", 0, stop,
-            plan.encoder_embedding_w, plan.encoder_embedding_b, state._enc_embed,
-            plan.time_embedding(long_times[:, :stop]),
+            plan, state, lane, "enc.in", 0, context if masked else window,
+            plan.encoder_embedding_w, plan.encoder_embedding_b, lane.enc_embed, encoder_time,
         ),
         arena,
     )
     if not masked:
         decoder_input = _stage_input(
-            plan, state, "dec.in", context, window,
-            plan.decoder_embedding_w, plan.decoder_embedding_b, state._dec_embed,
-            plan.time_embedding(long_times[:, context:], position_offset=context),
+            plan, state, lane, "dec.in", context, window,
+            plan.decoder_embedding_w, plan.decoder_embedding_b, lane.dec_embed, decoder,
         )
         return plan.head(plan.decode(decoder_input, memory, arena), stacks, variates, arena)
-    decoder_time, decoder_token = plan.time_embedding.embed(
-        long_times[:, context:], position_offset=context
-    )
     if plan.decoder_layers:
-        compact = plan._decoder_self_stage(decoder_time, decoder_token)
-        decoded = plan.decode(compact, memory, arena, self_staged=True)
+        decoded = plan.decode(decoder, memory, arena, self_staged=True)
     else:
-        decoded = np.broadcast_to(decoder_time, (len(memory),) + decoder_time.shape[1:])
+        decoded = np.broadcast_to(decoder, (len(memory),) + decoder.shape[1:])
     return plan.head(decoded, stacks, variates, arena)
 
 
@@ -527,13 +720,20 @@ def _slot_like(arena: ScratchArena, name: str, reference: np.ndarray) -> np.ndar
     return arena.get(name, (stacks, omega, variates), reference.dtype).transpose(0, 2, 1)
 
 
-def noise_step(plan: "NoisePlan", state: IncrementalState, errors, target) -> np.ndarray:
-    """One-tick GCN propagation; returns the newest timestep's ``(S, N)`` column.
+def noise_step(
+    plan: "NoisePlan", state: IncrementalState, lane: _Lane, errors, target
+) -> tuple:
+    """One lane's GCN propagation: the newest timestep's ``(stacks, N)``
+    column plus the graph diagnostics for the caller to publish.
 
-    ``static`` mode reuses the state's frozen degree-normalized adjacency;
-    ``window``/``dynamic`` adjacencies depend on this tick's errors, so the
-    full :meth:`NoisePlan.forward` runs verbatim (its transient adjacency
-    allocations free every tick — no steady-state growth).
+    ``static`` mode reuses the state's frozen degree-normalized adjacency
+    and has no diagnostics to publish (``None``: the caller publishes the
+    frozen one).  ``window``/``dynamic`` adjacencies depend on this tick's
+    errors, so the side-effect-free :meth:`NoisePlan.propagate` runs
+    verbatim (its transient adjacency allocations free every tick — no
+    steady-state growth) and its ``(last_adjacency, dynamic_state)`` is
+    returned instead of written to the plan, which other lanes may be
+    reading.
 
     Only the newest column of the reconstruction reaches the Eq. 17 score,
     so the static path runs both GEMMs in full (single-column GEMMs are
@@ -542,19 +742,20 @@ def noise_step(plan: "NoisePlan", state: IncrementalState, errors, target) -> np
     ufuncs are bit-identical whatever their batch shape.
     """
     if plan.graph_mode != "static":
-        return plan.forward(errors, target)[:, :, -1]
-    arena = state.arena
-    normalized = state.static_adjacency(plan)
-    plan.last_adjacency = state.static_last_adjacency()
+        reconstruction, adjacency, dynamic_state = plan.propagate(
+            errors, target, plan._dynamic_state
+        )
+        return reconstruction[:, :, -1], (adjacency, dynamic_state)
+    arena = lane.arena
     if plan.scales is None:
         features = errors
-    elif state._features is not None:
-        features = state.features_view()
+    elif lane.features is not None:
+        features = state.features_view(lane)
     else:
         features = _slot_like(arena, "gcn.features", errors)
         np.multiply(errors, plan.scales[None, :, None], out=features)
     propagated = arena.get("gcn.propagated", errors.shape, errors.dtype)
-    np.matmul(normalized, features, out=propagated)
+    np.matmul(lane.static_norm, features, out=propagated)
     out = arena.get("gcn.out", errors.shape[:2] + (plan.weight.shape[1],), errors.dtype)
     np.matmul(propagated, plan.weight, out=out)
     last = arena.get("gcn.last", errors.shape[:2], errors.dtype)
@@ -562,19 +763,24 @@ def noise_step(plan: "NoisePlan", state: IncrementalState, errors, target) -> np
     last = ops.apply_activation(last, plan.activation, arena, "gcn.act")
     if plan.inverse_scales is not None:
         np.multiply(last, plan.inverse_scales[None, :, -1], out=last)
-    return last
+    return last, None
 
 
-def model_step(model: "CompiledModel", state: IncrementalState) -> np.ndarray:
-    """One-tick score head over the incremental module steps.
+def lane_step(
+    model: "CompiledModel", state: IncrementalState, lane: _Lane, shared, scores: np.ndarray
+):
+    """One lane's share of a tick: score stacks ``[lane.start, lane.stop)``.
 
     Mirrors :meth:`CompiledModel.forward`'s two-stage composition and
-    Eq. 17 score; only the emitted ``(num_stacks, N)`` score vector is a
-    fresh allocation (results outlive the tick), everything else lives in
-    the arena.
+    Eq. 17 score over the lane's stacks, reading the state rings through
+    the lane's views and ``shared`` (the :func:`timeline_step` results),
+    computing in the lane's own arena and writing the lane's rows of
+    ``scores`` in place.  It inserts into no plan memo and writes no plan
+    attribute, so lanes run concurrently; it returns the graph diagnostics
+    of :func:`noise_step` (``None`` without a noise module).
     """
-    arena = state.arena
-    target = state.target_view()
+    arena = lane.arena
+    target = state.target_view(lane)
     # Without a temporal stage the errors are bitwise the target
     # (``x - 0.0 == x``), and the static-graph GEMMs are stride-insensitive,
     # so the ring view serves directly.  Everything else stages errors in a
@@ -594,16 +800,59 @@ def model_step(model: "CompiledModel", state: IncrementalState) -> np.ndarray:
                 "model.errors", (stacks, omega, variates), model.dtype
             ).transpose(0, 2, 1)
         if model.temporal is not None:
-            reconstruction = temporal_step(model.temporal, state)
+            reconstruction = temporal_step(model.temporal, state, lane, *shared)
             np.subtract(target, reconstruction, out=errors)
         else:
             np.copyto(errors, target)
     else:
         errors = target
-    if model.noise is not None:
-        noise_last = noise_step(model.noise, state, errors, target)
-        residual_last = arena.get("model.residual", target.shape[:2], model.dtype)
-        np.subtract(errors[:, :, -1], noise_last, out=residual_last)
-        return np.abs(residual_last)  # repro: allow[hot-ufunc-out] -- the one allowed allocation per tick: the emitted score vector outlives the arena
-    # Ablated noise module reconstructs zeros: the residual IS the errors.
-    return np.abs(errors[:, :, -1])  # repro: allow[hot-ufunc-out] -- emitted score vector, same as above
+    out = scores[lane.start : lane.stop]
+    if model.noise is None:
+        # Ablated noise module reconstructs zeros: the residual IS the errors.
+        np.abs(errors[:, :, -1], out=out)
+        return None
+    noise_last, graph = noise_step(model.noise, state, lane, errors, target)
+    residual_last = arena.get("model.residual", target.shape[:2], model.dtype)
+    np.subtract(errors[:, :, -1], noise_last, out=residual_last)
+    np.abs(residual_last, out=out)
+    return graph
+
+
+def model_step(model: "CompiledModel", state: IncrementalState) -> np.ndarray:
+    """One tick: the shared stages, every lane, then the published graph.
+
+    Runs :func:`timeline_step` on the calling thread, then :func:`lane_step`
+    for every lane — on the lane pool, or inline on a one-lane state and on
+    a state's first tick — into one ``(num_stacks, N)`` score vector, the
+    tick's only fresh allocation (it outlives the arenas).  Every lane is
+    joined before the tick returns or re-raises, so no lane is still
+    writing its arena when the next tick or a rebuild starts.  The calling
+    thread then publishes what a one-lane full forward leaves on the noise
+    plan: the last lane's last-stack adjacency and the dynamic EMA state.
+    """
+    shared = None if model.temporal is None else timeline_step(model.temporal, state)
+    scores = np.empty((state.num_stacks, state.num_variates), dtype=model.dtype)  # repro: allow[hot-alloc] -- the one allowed allocation per tick: the emitted score vector outlives the arenas
+    lanes = state.lanes
+    if len(lanes) == 1 or not lanes[-1].arena._buffers:
+        # One lane, or the first tick: its lanes run here so the calling
+        # thread allocates every arena block.  Allocated on a pool worker,
+        # a block comes from that thread's own malloc arena, which cannot
+        # reuse memory the process freed before (+18 MB RSS measured at the
+        # wide-night geometry).
+        for lane in lanes:
+            graph = lane_step(model, state, lane, shared, scores)
+    else:
+        pool = _lane_pool()
+        futures = [
+            pool.submit(lane_step, model, state, lane, shared, scores) for lane in lanes
+        ]
+        wait(futures)
+        for future in futures:
+            graph = future.result()
+    noise = model.noise
+    if noise is not None:
+        if graph is None:
+            noise.last_adjacency = state._static_last
+        else:
+            noise.last_adjacency, noise._dynamic_state = graph
+    return scores

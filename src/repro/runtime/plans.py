@@ -616,21 +616,23 @@ class NoisePlan:
         np.clip(similarity, 0.0, 1.0, out=similarity)
         return similarity
 
-    def _adjacency_for(self, errors: np.ndarray) -> np.ndarray:
-        """Fresh per-window adjacency for the ``window``/``dynamic`` modes."""
+    def _adjacency_for(
+        self, errors: np.ndarray, state: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Fresh per-window adjacency for the ``window``/``dynamic`` modes,
+        plus the dynamic EMA state after the batch (``state`` passes through
+        unchanged in ``window`` mode)."""
         window_graphs = self._cosine_adjacency(errors)
         if self.graph_mode == "window":
-            return window_graphs
+            return window_graphs, state
         smoothed = np.empty_like(window_graphs)
-        state = self._dynamic_state
         for index in range(len(window_graphs)):
             if state is None:
                 state = window_graphs[index]
             else:
                 state = self.dynamic_decay * state + (1.0 - self.dynamic_decay) * window_graphs[index]
             smoothed[index] = state
-        self._dynamic_state = state
-        return smoothed
+        return smoothed, state
 
     def normalize_adjacency(self, adjacency: np.ndarray) -> np.ndarray:
         """Degree-normalize a fresh ``(B, N, N)`` adjacency stack in place.
@@ -648,6 +650,27 @@ class NoisePlan:
 
     # ------------------------------------------------------------------
     def forward(self, errors: np.ndarray, short_windows: np.ndarray) -> np.ndarray:
+        out, self.last_adjacency, self._dynamic_state = self.propagate(
+            errors, short_windows, self._dynamic_state
+        )
+        return out
+
+    __call__ = forward
+
+    def propagate(
+        self,
+        errors: np.ndarray,
+        short_windows: np.ndarray,
+        dynamic_state: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Side-effect-free :meth:`forward`: reads and writes no plan state.
+
+        Returns the reconstruction, the last window's adjacency (what
+        ``forward`` publishes as :attr:`last_adjacency`) and the dynamic
+        EMA state after the batch, which ``dynamic_state`` seeds.  The
+        incremental tick's lanes run this concurrently and leave publishing
+        to the calling thread.
+        """
         errors = np.asarray(errors, dtype=self.dtype)
         if errors.shape != np.shape(short_windows):
             raise ValueError(
@@ -661,10 +684,10 @@ class NoisePlan:
 
         if self.graph_mode == "static":
             adjacency = np.ones((batch, num_variates, num_variates), dtype=errors.dtype)
-            self.last_adjacency = np.ones((num_variates, num_variates), dtype=errors.dtype)
+            last_adjacency = np.ones((num_variates, num_variates), dtype=errors.dtype)
         else:
-            adjacency = self._adjacency_for(errors)
-            self.last_adjacency = adjacency[-1].copy()
+            adjacency, dynamic_state = self._adjacency_for(errors, dynamic_state)
+            last_adjacency = adjacency[-1].copy()
         normalized = self.normalize_adjacency(adjacency)
 
         features = errors if self.scales is None else errors * self.scales[None, :, None]
@@ -674,9 +697,7 @@ class NoisePlan:
         out = ops.apply_activation(out, self.activation)
         if self.inverse_scales is not None:
             np.multiply(out, self.inverse_scales[None], out=out)
-        return out
-
-    __call__ = forward
+        return out, last_adjacency, dynamic_state
 
 
 @dataclass

@@ -166,8 +166,8 @@ class TestStructuralDiagnostics:
             model.noise.weight = saved
 
 
-def _warm_state(compiled, num_stacks=2, seed=5):
-    state = compiled.new_incremental_state(num_stacks)
+def _warm_state(compiled, num_stacks=2, seed=5, lanes=None):
+    state = IncrementalState(compiled.model, compiled.config, num_stacks, lanes=lanes)
     rng = np.random.default_rng(seed)
     stack = rng.random((num_stacks, WINDOW, NUM_VARIATES))
     state.rebuild(stack, np.arange(WINDOW, dtype=np.float64))
@@ -241,11 +241,39 @@ class TestStateDiagnostics:
         )
         assert "layout-mismatch" in _kinds(check_state(state))
 
+    def test_every_lane_arena_is_checked(self, compiled_models):
+        state = _warm_state(compiled_models("full"), num_stacks=3, lanes=2)
+        assert len(state.lanes) == 2
+        assert check_state(state) == []
+        state.lanes[1].arena._buffers["model.residual"] = np.empty(
+            state.lanes[1].arena._buffers["model.residual"].shape, dtype=np.float32
+        )
+        issues = check_state(state)
+        assert any(
+            issue.kind == "dtype-mismatch" and issue.location.startswith("lanes[1]")
+            for issue in issues
+        )
+
+    def test_lanes_sharing_one_arena_alias(self, compiled_models):
+        # Two lanes writing one arena race on every slot: each slot of lane 0
+        # must be reported against the same slot of lane 1.
+        state = _warm_state(compiled_models("full"), num_stacks=4, lanes=2)
+        assert [lane.num_stacks for lane in state.lanes] == [2, 2]
+        state.lanes[1].arena = state.lanes[0].arena
+        state.score()
+        issues = check_state(state)
+        assert any(
+            issue.kind == "workspace-alias"
+            and "lanes[0].arena[model.errors]" in issue.location
+            and "lanes[1].arena[model.errors]" in issue.location
+            for issue in issues
+        )
+
     def test_steady_state_reallocation_is_flagged(self, compiled_models):
         state = _warm_state(compiled_models("full"))
         arena = TrackingArena()
         arena._buffers.update(state.arena._buffers)
-        state.arena = arena
+        state.lanes[0].arena = arena
         arena.steady = True
         arena.get("model.residual", (9, 9), state.dtype)  # geometry drifted
         assert "workspace-realloc" in _kinds(check_state(state))

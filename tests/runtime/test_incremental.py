@@ -9,6 +9,8 @@ against per-tick ``score_stack`` references and assert ``array_equal``
 (never ``allclose``).
 """
 
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,8 +18,9 @@ import pytest
 
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
-from repro.runtime import compile_detector
-from repro.runtime.plans import TimeEmbeddingPlan
+from repro.runtime import compile_detector, incremental
+from repro.runtime.incremental import IncrementalState
+from repro.runtime.plans import NoisePlan, TimeEmbeddingPlan
 
 NUM_VARIATES = 5
 WINDOW = 16
@@ -450,8 +453,233 @@ class TestSteadyStateAllocations:
             tracemalloc.stop()
         assert state.incremental_ticks > 0 and state.fallbacks == 0
         if profile != "gcn-only-static":
-            large = [b for b in state.arena._buffers.values() if b.nbytes >= PEAK_BOUND]
+            # Every lane's arena counts: on a multi-CPU host the 128 stacks
+            # serve on several lanes, whose workers tracemalloc traces too.
+            large = [
+                b for lane in state.lanes for b in lane.arena._buffers.values()
+                if b.nbytes >= PEAK_BOUND
+            ]
             assert large, "no arena buffer reaches the bound: the pin would have no teeth"
         assert max(peaks) < PEAK_BOUND, (
             f"{profile}: a tick peaked {max(peaks)} bytes above its baseline"
         )
+
+
+LANE_STACKS = 7
+
+
+def _lane_state(compiled, lanes, scaled, times, stacks=LANE_STACKS):
+    state = IncrementalState(compiled.model, compiled.config, stacks, lanes=lanes)
+    window = np.stack([scaled[i : i + WINDOW] for i in range(stacks)])
+    state.rebuild(window, None if times is None else times[:WINDOW])
+    return state
+
+
+def _lane_ticks(compiled, state, scaled, times, ticks, stacks=LANE_STACKS):
+    """Score the rebuilt window, then ``ticks`` appended rows."""
+    emitted = [state.score()]
+    for k in range(ticks):
+        rows = np.stack([scaled[WINDOW + k + i] for i in range(stacks)])
+        tick_time = None if times is None else float(times[WINDOW + k])
+        emitted.append(compiled.score_stack_step(state, rows, tick_time))
+    return emitted
+
+
+class TestLanes:
+    """Lanes split a tick's stacks over threads; scores must not notice."""
+
+    @pytest.mark.parametrize("cadence", ["real", "default"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", sorted(ABLATION_VARIANTS))
+    def test_forced_lanes_match_score_stack(
+        self, name, dtype, cadence, fitted_variants, test_series, timestamps
+    ):
+        # 7 stacks: 2 lanes split 4 + 3, 3 lanes 3 + 2 + 2.
+        detector = fitted_variants[name]
+        times = timestamps if cadence == "real" else None
+        reference = compile_detector(detector, dtype=dtype)
+        scaled = reference.scaler.transform(test_series)
+        ticks = 6
+        expected = []
+        for k in range(ticks + 1):
+            window = np.stack([scaled[i + k : i + k + WINDOW] for i in range(LANE_STACKS)])
+            expected.append(
+                reference.score_stack(window, None if times is None else times[k : k + WINDOW])
+            )
+        one_lane = name in ("dynamic_graph", "no_short_window")
+        for lanes in (1, 2, 3):
+            compiled = compile_detector(detector, dtype=dtype)
+            state = _lane_state(compiled, lanes, scaled, times)
+            assert len(state.lanes) == (1 if one_lane else lanes)
+            for tick, (got, want) in enumerate(
+                zip(_lane_ticks(compiled, state, scaled, times, ticks), expected)
+            ):
+                assert np.array_equal(want, got), f"{lanes} lanes, tick {tick}"
+
+    def test_lane_bounds_are_contiguous_and_even(self, fitted_variants):
+        compiled = compile_detector(fitted_variants["full"])
+        state = IncrementalState(compiled.model, compiled.config, LANE_STACKS, lanes=3)
+        assert [(lane.start, lane.stop) for lane in state.lanes] == [(0, 3), (3, 5), (5, 7)]
+        assert len({id(lane.arena) for lane in state.lanes}) == 3
+        # Lanes split each slot of a one-lane arena by stack range.
+        one_lane = IncrementalState(compiled.model, compiled.config, LANE_STACKS, lanes=1)
+        for candidate in (state, one_lane):
+            candidate.rebuild(np.zeros((LANE_STACKS, WINDOW, NUM_VARIATES)))
+            candidate.score()
+        split = set()
+        for name, whole in one_lane.arena._buffers.items():
+            parts = [lane.arena._buffers[name] for lane in state.lanes]
+            if sum(part.nbytes for part in parts) == whole.nbytes:
+                assert all(part.base is parts[0].base is not None for part in parts), name
+                split.add(name)
+        # Per-stack slots are split; batch-1 ones (the shared decoder
+        # query) cannot be and get one buffer per lane.
+        assert {"enc.in", "enc0.sa.qkv", "model.errors", "model.residual"} <= split
+        assert "dec0.ca.q" not in split
+        # More lanes than stacks clamp to one stack per lane.
+        state = IncrementalState(compiled.model, compiled.config, 2, lanes=5)
+        assert [lane.num_stacks for lane in state.lanes] == [1, 1]
+
+    def test_automatic_rule(self, fitted_variants, monkeypatch):
+        compiled = compile_detector(fitted_variants["full"])
+        model, config = compiled.model, compiled.config
+        # Encoder work per stack: N folded sequences x (W - omega) rows x d_model.
+        per_stack = NUM_VARIATES * (WINDOW - SHORT) * 8
+        enough = -(-incremental._MIN_LANE_WORK // per_stack)  # stacks for one lane's minimum
+        monkeypatch.setattr(incremental, "_usable_cpus", lambda: 4)
+        assert len(IncrementalState(model, config, enough).lanes) == 1
+        assert len(IncrementalState(model, config, 2 * enough).lanes) == 2
+        assert len(IncrementalState(model, config, 64 * enough).lanes) == 4
+        monkeypatch.setattr(incremental, "_usable_cpus", lambda: 1)
+        assert len(IncrementalState(model, config, 64 * enough).lanes) == 1
+        monkeypatch.setattr(incremental, "_usable_cpus", lambda: 4)
+        # Temporal-free models have no encoder work to split.
+        gcn = compile_detector(fitted_variants["no_temporal"])
+        assert len(IncrementalState(gcn.model, gcn.config, 64 * enough).lanes) == 1
+
+    def test_memos_after_irregular_cadence_match_one_lane(self, fitted_variants):
+        """Only the calling thread inserts into the plan memos.
+
+        A jittered cadence misses every memo on every tick, so the memo
+        entries and their tokens record exactly which thread inserted what
+        and in which order.
+        """
+        detector = fitted_variants["full"]
+        ticks = TimeEmbeddingPlan.MAX_CACHE + 8
+        rng = np.random.default_rng(29)
+        times = np.cumsum(0.8 + 0.4 * rng.random(WINDOW + ticks))
+        scaled = _make_series(WINDOW + ticks + LANE_STACKS, NUM_VARIATES, seed=19)
+        memos = {}
+        for lanes in (1, 2):
+            compiled = compile_detector(detector)
+            state = _lane_state(compiled, lanes, compiled.scaler.transform(scaled), times)
+            assert len(state.lanes) == lanes
+            _lane_ticks(compiled, state, compiled.scaler.transform(scaled), times, ticks)
+            plan = compiled.model.temporal
+            memos[lanes] = (
+                [(key, token) for key, (token, _) in plan.time_embedding._cache.items()],
+                plan.time_embedding._next_token,
+                list(plan._self_stage_cache),
+                list(plan._default_times),
+            )
+        assert memos[1] == memos[2]
+
+    def test_learned_graph_is_the_last_stack_adjacency(self, fitted_variants, test_series):
+        detector = fitted_variants["full"]  # window-wise graph
+        graphs = {}
+        for lanes in (1, 2):
+            compiled = compile_detector(detector)
+            scaled = compiled.scaler.transform(test_series)
+            state = _lane_state(compiled, lanes, scaled, None)
+            _lane_ticks(compiled, state, scaled, None, 3)
+            graphs[lanes] = compiled.model.noise.last_adjacency
+        window = np.stack([scaled[i + 3 : i + 3 + WINDOW] for i in range(LANE_STACKS)])
+        reference = compile_detector(detector)
+        reference.score_stack(window)
+        assert np.array_equal(graphs[2], graphs[1])
+        assert np.array_equal(graphs[2], reference.model.noise.last_adjacency)
+
+    def test_lanes_never_write_noise_plan_state(
+        self, fitted_variants, test_series, monkeypatch
+    ):
+        """Publishing the graph diagnostics is the calling thread's job."""
+        in_lane = threading.local()
+        writes = []
+        lane_step = incremental.lane_step
+
+        def flagged(*args):
+            in_lane.active = True
+            try:
+                return lane_step(*args)
+            finally:
+                in_lane.active = False
+
+        def guarded(plan, attr, value):
+            if getattr(in_lane, "active", False):
+                writes.append(attr)
+            object.__setattr__(plan, attr, value)
+
+        monkeypatch.setattr(incremental, "lane_step", flagged)
+        monkeypatch.setattr(NoisePlan, "__setattr__", guarded)
+        for name in ("full", "static_graph"):
+            compiled = compile_detector(fitted_variants[name])
+            scaled = compiled.scaler.transform(test_series)
+            state = _lane_state(compiled, 2, scaled, None)
+            _lane_ticks(compiled, state, scaled, None, 3)
+            assert compiled.model.noise.last_adjacency is not None
+        assert writes == []
+
+    def test_failing_lane_is_joined_before_the_tick_raises(
+        self, fitted_variants, test_series, monkeypatch
+    ):
+        compiled = compile_detector(fitted_variants["full"])
+        scaled = compiled.scaler.transform(test_series)
+        state = _lane_state(compiled, 3, scaled, None)
+        _lane_ticks(compiled, state, scaled, None, 1)  # first tick: inline
+        finished = []
+        lane_step = incremental.lane_step
+
+        def failing(model, state, lane, shared, scores):
+            if lane.start == 0:
+                raise RuntimeError("lane 0 broke")
+            lane_step(model, state, lane, shared, scores)
+            finished.append(lane.start)
+
+        monkeypatch.setattr(incremental, "lane_step", failing)
+        with pytest.raises(RuntimeError, match="lane 0 broke"):
+            state.score()
+        assert sorted(finished) == [3, 5]
+
+
+def _tick_in_child(compiled, state, rows, connection):
+    connection.send(compiled.score_stack_step(state, rows))
+    connection.close()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() with live threads
+def test_multi_lane_state_ticks_in_a_forked_child(fitted_variants, test_series):
+    """A pool inherited over fork has no threads: the child must start its own.
+
+    Without the at-fork reset the child's tick submits to the parent's
+    pool, whose futures never complete, and the child hangs.
+    """
+    compiled = compile_detector(fitted_variants["full"])
+    scaled = compiled.scaler.transform(test_series)
+    state = _lane_state(compiled, 2, scaled, None)
+    _lane_ticks(compiled, state, scaled, None, 2)  # the second tick ran on the pool
+    rows = np.stack([scaled[WINDOW + 2 + i] for i in range(LANE_STACKS)])
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_tick_in_child, args=(compiled, state, rows, sender))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "the forked child's multi-lane tick never finished"
+        from_child = receiver.recv()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert np.array_equal(from_child, compiled.score_stack_step(state, rows))

@@ -9,13 +9,15 @@ state, which transparently rebuilds from the ring buffers on the next
 tick).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import build_variant
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import compile_detector
+from repro.runtime import compile_detector, incremental
 from repro.simulation import ReplayHarness, ScenarioConfig, build_scenario
 from repro.streaming import FleetManager
 
@@ -193,6 +195,35 @@ class TestFleetIncrementalBackend:
         assert stats["incremental_ticks"] == 0
         assert registry.counter("fleet_incremental_fallbacks_total").value == len(exposures)
         assert registry.counter("fleet_incremental_ticks_total").value == 0
+
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_trace_is_lane_count_invariant(self, detector, lanes, monkeypatch):
+        """Forced lanes serve the very trace one lane does.
+
+        Five shards split unevenly over the lanes; scores, labels,
+        per-star thresholds and alerts must all match bit for bit.
+        """
+        night = build_scenario(
+            ScenarioConfig(
+                num_shards=5, num_variates=NUM_VARIATES, train_length=220,
+                calibration_length=0, night_length=60, num_events=3, seed=9,
+            )
+        )
+        traces = {}
+        for forced in (1, lanes):
+            monkeypatch.setattr(incremental, "_lane_count", lambda *_, forced=forced: forced)
+            fleet = FleetManager(
+                detector, num_shards=5, backend="incremental", threshold_mode="per_star"
+            )
+            _, traces[forced] = ReplayHarness(fleet, night).run()
+            assert len(fleet._inc_state.lanes) == forced
+        assert traces[1].num_alerts > 0
+        for field in dataclasses.fields(traces[1]):
+            assert np.array_equal(
+                getattr(traces[1], field.name), getattr(traces[lanes], field.name),
+                equal_nan=True,
+            ), field.name
 
 
 class TestStreamIncrementalBackend:
