@@ -168,7 +168,7 @@ def _run_incremental_comparison():
         def fused_pass():
             # What a compiled-backend fleet pays per tick: stage every
             # shard's current window from its ring, then one fused
-            # score_stack call (see FleetManager._step_inner).
+            # score_stack call (see FleetManager._forward).
             started = time.perf_counter()
             for tick in range(ticks):
                 for shard in range(num_shards):

@@ -89,7 +89,11 @@ HOT_PATHS: dict[str, str] = {
     "repro/runtime/plans.py::TemporalPlan.head": "strict",
     # -- fleet serving tick ----------------------------------------------
     "repro/streaming/fleet.py::FleetManager.step": "alloc",
-    "repro/streaming/fleet.py::FleetManager._step_inner": "alloc",
+    "repro/streaming/fleet.py::FleetManager._ingest": "alloc",
+    "repro/streaming/fleet.py::FleetManager._forward": "alloc",
+    "repro/streaming/fleet.py::FleetManager._stage": "alloc",
+    "repro/streaming/fleet.py::FleetManager._finish": "alloc",
+    "repro/streaming/fleet.py::FleetManager._settle": "alloc",
     "repro/streaming/fleet.py::FleetManager._incremental_forward": "alloc",
     "repro/streaming/fleet.py::FleetManager._record_tick_metrics": "alloc",
     # -- per-star adaptive thresholds ------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.preprocessing import MinMaxScaler
-from ..data.windows import WindowDataset
+from ..data.windows import WindowDataset, sliding_windows
 from ..evaluation import DetectionOutcome, evaluate_scores, pot_threshold
 from ..nn.serialization import load_arrays, save_arrays
 from .config import AeroConfig
@@ -39,7 +39,7 @@ __all__ = ["AeroDetector", "DetectionReport", "sliding_window_scores"]
 
 
 def sliding_window_scores(
-    forward,
+    score_windows,
     config: AeroConfig,
     scaled: np.ndarray,
     timestamps: np.ndarray | None,
@@ -50,16 +50,21 @@ def sliding_window_scores(
     """Stride-1 scoring driver shared by every batch scorer (Algorithm 2).
 
     Owns the full batch-scoring contract in one place — context stitching,
-    timestamp alignment, micro-batch grouping, score placement by window
-    end index, and the conservative early-point backfill — so
+    timestamp alignment, window staging, score placement by window end
+    index, and the conservative early-point backfill — so
     :meth:`AeroDetector.score`, :meth:`repro.runtime.CompiledDetector.score`
     and the autograd test oracle cannot drift apart.
 
     Parameters
     ----------
-    forward:
-        Callable mapping a :class:`~repro.data.windows.WindowBatch` to its
-        ``(batch, N)`` anomaly scores.
+    score_windows:
+        Callable ``(windows, long_times, short_times) -> (count, N)``
+        scoring every stride-1 window of the series, in order.
+        ``windows(start, stop)`` stages windows ``[start, stop)`` as
+        ``(batch, N, W)`` long and ``(batch, N, omega)`` short arrays (fresh,
+        time-major in memory); ``long_times``/``short_times`` are the ``(count, W)`` and
+        ``(count, omega)`` window timestamps (read-only views).
+        :func:`repro.runtime.lanes.score_batch` is the compiled one.
     scaled:
         Already-normalized series of shape ``(T, N)``.
     context / context_times:
@@ -82,28 +87,38 @@ def sliding_window_scores(
             timestamps = None
 
     scores = np.zeros((num_points, num_variates), dtype=score_dtype)
-    covered = np.zeros(num_points, dtype=bool)
-    if scaled.shape[0] < config.window:
+    window, short = config.window, config.short_window
+    if scaled.shape[0] < window:
         return scores
+    scaled = np.asarray(scaled, dtype=np.float64)
+    if timestamps is None:
+        timestamps = np.arange(scaled.shape[0], dtype=np.float64)
+    else:
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        if len(timestamps) != scaled.shape[0]:
+            raise ValueError("timestamps length must match the series")
+    # Zero-copy strided views: window k covers rows [k, k + W).
+    row_view = sliding_windows(scaled, window, copy=False)
+    time_view = sliding_windows(timestamps, window, copy=False)
 
-    window_dataset = WindowDataset(
-        scaled,
-        window=config.window,
-        short_window=config.short_window,
-        timestamps=timestamps,
-        stride=1,
-    )
-    for batch in window_dataset.batches(config.batch_size, shuffle=False):
-        batch_scores = forward(batch)
-        for row, end in enumerate(batch.end_indices):
-            position = int(end) - context_length
-            if 0 <= position < num_points:
-                scores[position] = batch_scores[row]
-                covered[position] = True
+    def windows(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        # Staged time-major, as a ring buffer holds them: the kernels' bits
+        # may depend on the operands' memory layout.
+        rows = row_view[start:stop]
+        return (
+            np.ascontiguousarray(rows).transpose(0, 2, 1),
+            np.ascontiguousarray(rows[:, window - short :]).transpose(0, 2, 1),
+        )
+
+    window_scores = score_windows(windows, time_view, time_view[:, window - short :])
+    # Window k ends at row k + W - 1: its score belongs to that point.
+    positions = np.arange(window - 1, scaled.shape[0]) - context_length
+    covered = positions >= 0
+    scores[positions[covered]] = window_scores[covered]
     # Early points that no window reaches inherit the first computed score,
     # so every timestamp has a well-defined (if conservative) score.
     if covered.any():
-        first = int(np.argmax(covered))
+        first = int(positions[covered][0])
         scores[:first] = scores[first]
     return scores
 
@@ -283,10 +298,12 @@ class AeroDetector:
         prepend_context: bool,
     ) -> np.ndarray:
         """Score an already-normalized series; returns ``(T, N)`` anomaly scores."""
+        from ..runtime.lanes import score_batch
+
         return self._with_live_plan(
             lambda plan: sliding_window_scores(
-                lambda batch: plan.scores(
-                    batch.long, batch.short, batch.long_times, batch.short_times
+                lambda windows, long_times, short_times: score_batch(
+                    plan, self.config, windows, long_times, short_times, len(long_times)
                 ),
                 self.config,
                 scaled,

@@ -14,6 +14,10 @@ no per-window python loops.
 * :mod:`~repro.runtime.plans` — :class:`TemporalPlan`, :class:`NoisePlan`
   and :class:`CompiledModel`, the fused executable forms of the two AERO
   stages and the score head;
+* :mod:`~repro.runtime.lanes` — the one pool of CPU-pinned worker threads
+  and :func:`~repro.runtime.lanes.score_batch`, which scores a window batch
+  on as many lanes as pay (bit-identical for any count); the incremental
+  tick splits its stacks over the same pool;
 * :mod:`~repro.runtime.compiler` — :func:`compile_model` /
   :func:`compile_detector` weight export, and :class:`CompiledDetector`,
   the drop-in serving front-end (``score``/``detect``/``score_windows``

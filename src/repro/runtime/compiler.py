@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.detector import sliding_window_scores
 from ..data.preprocessing import MinMaxScaler
+from .lanes import score_batch
 from .plans import (
     AttentionPlan,
     CompiledForwardResult,
@@ -260,7 +261,9 @@ class CompiledDetector:
         layout — exactly what a ring buffer view yields — so a fleet of
         shards is scored without transposing or staging per shard.
         ``timestamps`` may be ``(W,)`` (shared exposure timeline) or
-        ``(S, W)``.  Returns ``(S, N)`` scores.
+        ``(S, W)``.  Returns ``(S, N)`` scores.  Wide stacks are scored on
+        lanes (:func:`repro.runtime.lanes.score_batch`) in micro-batches of
+        at most ``config.batch_size`` windows.
         """
         stack = np.asarray(stack, dtype=self.model.dtype)
         if stack.ndim != 3:
@@ -278,21 +281,26 @@ class CompiledDetector:
                 times = np.broadcast_to(times, (stack.shape[0], window))
             long_times = times
             short_times = times[:, window - short:]
-        return self.model.forward(
-            long_windows,
-            long_windows[:, :, window - short:],
+        return score_batch(
+            self.model,
+            self.config,
+            lambda start, stop: (
+                long_windows[start:stop], long_windows[start:stop, :, window - short:]
+            ),
             long_times,
             short_times,
-        ).scores
+            len(stack),
+        )
 
     # ------------------------------------------------------------------
     def score(self, series: np.ndarray, timestamps: np.ndarray | None = None) -> np.ndarray:
         """Anomaly scores for every point of ``series``.
 
         Runs the shared :func:`~repro.core.detector.sliding_window_scores`
-        driver — the same context prepend, micro-batch grouping and
-        early-point backfill as :meth:`AeroDetector.score` — over the
-        compiled plans, so float64 output is bit-for-bit equal.
+        driver — the same context prepend, window staging and early-point
+        backfill as :meth:`AeroDetector.score` — over the compiled plans
+        (on lanes, :func:`repro.runtime.lanes.score_batch`), so float64
+        output is bit-for-bit equal.
         """
         series = np.asarray(series, dtype=np.float64)
         if series.ndim != 2:
@@ -301,9 +309,9 @@ class CompiledDetector:
         if self.model.graph_mode == "dynamic":
             self.model.reset_dynamic_state()
         return sliding_window_scores(
-            lambda batch: self.model.forward(
-                batch.long, batch.short, batch.long_times, batch.short_times
-            ).scores,
+            lambda windows, long_times, short_times: score_batch(
+                self.model, self.config, windows, long_times, short_times, len(long_times)
+            ),
             self.config,
             scaled,
             timestamps,

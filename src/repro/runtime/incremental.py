@@ -40,9 +40,9 @@ Lanes: AERO reconstructs each star on its own and couples stars only
 inside one stack's window graph, so the stacks of a tick share no
 arithmetic.  A state splits its stacks into contiguous *lanes*, each with
 its own :class:`ScratchArena`; a tick runs the shared timeline stages on the
-calling thread, then every lane's stages on a process-wide pool of
-threads pinned one per CPU (numpy releases the GIL inside ufuncs and BLAS,
-so lanes occupy separate cores).  Each lane runs the same
+calling thread, then every lane's stages on the runtime's one pool of
+threads pinned one per CPU (:mod:`repro.runtime.lanes`; numpy releases the
+GIL inside ufuncs and BLAS, so lanes occupy separate cores).  Each lane runs the same
 per-slice kernels on its own stacks, so scores are bit-identical whatever
 the lane count.  The count is fixed per state: one lane per usable CPU
 while every lane keeps at least :data:`_MIN_LANE_WORK` of encoder work
@@ -69,15 +69,12 @@ forward transparently, counted in :attr:`IncrementalState.fallbacks`.
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ops
+from .lanes import encoder_work, lanes_for, run_lanes, split
 
 if TYPE_CHECKING:  # pragma: no cover - imports only for type checkers
     from .plans import CompiledModel, NoisePlan, TemporalPlan
@@ -153,20 +150,6 @@ class ScratchArena:
         return sum(buffer.nbytes for buffer in self._buffers.values())
 
 
-# ----------------------------------------------------------------------
-# lanes
-# ----------------------------------------------------------------------
-def _cpu_set() -> list[int]:
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return list(range(os.cpu_count() or 1))
-
-
-def _usable_cpus() -> int:
-    return len(_cpu_set())
-
-
 def _lane_count(model: "CompiledModel", config, num_stacks: int) -> int:
     """Lanes for a state: one per usable CPU while each keeps enough work.
 
@@ -175,60 +158,10 @@ def _lane_count(model: "CompiledModel", config, num_stacks: int) -> int:
     :data:`_MIN_LANE_WORK` of.  Temporal-free models have no encoder and
     serve on one lane.
     """
-    temporal = model.temporal
-    if temporal is None:
+    if model.temporal is None:
         return 1
-    sequences = num_stacks if temporal.multivariate_input else num_stacks * model.num_variates
-    rows = config.window
-    if temporal.conditioning == "masked":
-        rows -= config.short_window
-    work = sequences * rows * temporal.encoder_embedding_w.shape[1]
-    return max(1, min(_usable_cpus(), work // _MIN_LANE_WORK))
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _lane_pool() -> ThreadPoolExecutor:
-    """The process-wide pool lanes run on: one worker pinned to each usable CPU.
-
-    A multi-lane tick runs every lane here while the calling thread waits.
-    Left to the scheduler's wake-up placement, a worker could share the
-    calling thread's CPU for a whole run (two lanes on one core lose to one
-    lane); the calling thread is the serving front's own and cannot be
-    pinned, so it does not run a lane.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            cpus = _cpu_set()
-            _pool = ThreadPoolExecutor(
-                len(cpus),
-                thread_name_prefix="repro-lane",
-                initializer=_pin_worker,
-                initargs=(cpus, itertools.count()),
-            )
-        return _pool
-
-
-def _pin_worker(cpus: list[int], started) -> None:
-    try:
-        os.sched_setaffinity(0, {cpus[next(started) % len(cpus)]})
-    except (AttributeError, OSError):  # no per-thread affinity here
-        pass
-
-
-def _forget_pool() -> None:
-    # A pool inherited over fork has no threads, so its futures would never
-    # complete: a forked child starts its own on first use.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    work = encoder_work(model, num_stacks, config.window, config.short_window)
+    return lanes_for(work, _MIN_LANE_WORK)
 
 
 class _Lane:
@@ -344,7 +277,7 @@ class IncrementalState:
 
         # Frozen graph inputs: the static graph's degree-normalized all-ones
         # adjacency (built with exactly the normalization sequence of
-        # NoisePlan.forward) and the full path's per-tick ``np.ones``
+        # NoisePlan.propagate) and the full path's per-tick ``np.ones``
         # diagnostic.
         self._static_norm: np.ndarray | None = None
         self._static_last: np.ndarray | None = None
@@ -366,13 +299,10 @@ class IncrementalState:
             count = _lane_count(model, config, self.num_stacks)
         else:
             count = int(lanes)
-        count = max(1, min(count, self.num_stacks))
-        size, extra = divmod(self.num_stacks, count)
-        bounds = [0]
-        for index in range(count):
-            bounds.append(bounds[-1] + size + (index < extra))
         blocks: dict[str, np.ndarray] = {}
-        self.lanes = tuple(_Lane(self, a, b, blocks) for a, b in zip(bounds, bounds[1:]))
+        self.lanes = tuple(
+            _Lane(self, a, b, blocks) for a, b in split(self.num_stacks, count)
+        )
 
         # Lifecycle + counters ---------------------------------------------
         self.pos = 0
@@ -832,23 +762,18 @@ def model_step(model: "CompiledModel", state: IncrementalState) -> np.ndarray:
     """
     shared = None if model.temporal is None else timeline_step(model.temporal, state)
     scores = np.empty((state.num_stacks, state.num_variates), dtype=model.dtype)  # repro: allow[hot-alloc] -- the one allowed allocation per tick: the emitted score vector outlives the arenas
-    lanes = state.lanes
-    if len(lanes) == 1 or not lanes[-1].arena._buffers:
+    if len(state.lanes) == 1 or not state.lanes[-1].arena._buffers:
         # One lane, or the first tick: its lanes run here so the calling
         # thread allocates every arena block.  Allocated on a pool worker,
         # a block comes from that thread's own malloc arena, which cannot
         # reuse memory the process freed before (+18 MB RSS measured at the
         # wide-night geometry).
-        for lane in lanes:
+        for lane in state.lanes:
             graph = lane_step(model, state, lane, shared, scores)
     else:
-        pool = _lane_pool()
-        futures = [
-            pool.submit(lane_step, model, state, lane, shared, scores) for lane in lanes
-        ]
-        wait(futures)
-        for future in futures:
-            graph = future.result()
+        graph = run_lanes(
+            lambda lane: lane_step(model, state, lane, shared, scores), state.lanes
+        )[-1]
     noise = model.noise
     if noise is not None:
         if graph is None:

@@ -283,9 +283,13 @@ class TimeEmbeddingPlan:
         self._next_token = 0
 
     def embed(
-        self, timestamps: np.ndarray, position_offset: int = 0
+        self, timestamps: np.ndarray, position_offset: int = 0, memoize: bool = True
     ) -> tuple[np.ndarray, int | None]:
-        """The embedding plus its cache token (``None`` when uncached)."""
+        """The embedding plus its cache token (``None`` when uncached).
+
+        ``memoize=False`` only reads the memo: a miss is computed and
+        returned uncached, so concurrent lanes never write it.
+        """
         # Intervals are differenced in float64 regardless of the plan dtype:
         # large absolute timestamps (e.g. unix epochs) would be quantized by
         # a float32 cast before subtraction, destroying the cadence signal.
@@ -311,7 +315,7 @@ class TimeEmbeddingPlan:
         np.cos(phase, out=phase)
         np.add(embedding, phase, out=embedding)
         embedding.flags.writeable = False
-        if embedding.nbytes > self.MAX_CACHE_BYTES // 4:
+        if not memoize or embedding.nbytes > self.MAX_CACHE_BYTES // 4:
             return embedding, None
         # Evict oldest-inserted entries (dict preserves insertion order)
         # until the new one fits: a steady mixed-cadence fleet keeps its hot
@@ -337,10 +341,12 @@ class TemporalPlan:
 
     Replays :class:`repro.core.temporal.TemporalReconstructionModule.forward`
     (both conditioning modes, univariate and multivariate layouts, long- and
-    short-window reconstruction targets) on raw ndarrays.  ``forward``
-    embeds the windows and runs the ``encode``/``decode``/``head`` stages;
-    the incremental tick stages its inputs from its rings and runs the
-    same stages with its arena.
+    short-window reconstruction targets) on raw ndarrays in two halves:
+    :meth:`timeline`, the timestamp-only stages that read and fill the
+    memos, and :meth:`reconstruct`, which embeds the windows and runs the
+    ``encode``/``decode``/``head`` stages without side effects.  The
+    incremental tick stages its inputs from its rings and runs the same
+    stages with its arena.
     """
 
     __slots__ = (
@@ -395,7 +401,9 @@ class TemporalPlan:
             self._default_times[key] = times
         return times
 
-    def _decoder_self_stage(self, decoder_time: np.ndarray, token: int | None) -> np.ndarray:
+    def _decoder_self_stage(
+        self, decoder_time: np.ndarray, token: int | None, memoize: bool = True
+    ) -> np.ndarray:
         """First decoder layer's self stage, memoized on the embedding token.
 
         ``token`` is the :class:`TimeEmbeddingPlan` cache token of
@@ -405,14 +413,15 @@ class TemporalPlan:
         different array allocated later at a recycled address, and the memo
         does not need to pin the embedding alive to keep its key stable.
         A stream serving a regular cadence hits this memo on every step,
-        skipping the whole pre-cross decoder stage.
+        skipping the whole pre-cross decoder stage.  ``memoize=False`` only
+        reads the memo (see :meth:`TimeEmbeddingPlan.embed`).
         """
         if token is not None:
             cached = self._self_stage_cache.get(token)
             if cached is not None:
                 return cached
         compact = self.decoder_layers[0].self_stage(decoder_time)
-        if token is not None:
+        if token is not None and memoize:
             compact.flags.writeable = False
             if len(self._self_stage_cache) >= TimeEmbeddingPlan.MAX_CACHE:
                 del self._self_stage_cache[next(iter(self._self_stage_cache))]
@@ -488,19 +497,27 @@ class TemporalPlan:
         return projected.reshape(batch, variates, -1)
 
     # ------------------------------------------------------------------
-    def forward(
+    def timeline(
         self,
-        long_windows: np.ndarray,
-        short_windows: np.ndarray,
+        batch: int,
+        window: int,
+        omega: int,
         long_times: np.ndarray | None = None,
         short_times: np.ndarray | None = None,
-    ) -> np.ndarray:
-        long_windows = np.asarray(long_windows, dtype=self.dtype)
-        short_windows = np.asarray(short_windows, dtype=self.dtype)
-        batch, variates, window = long_windows.shape
-        omega = short_windows.shape[2]
+        *,
+        memoize: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's timestamp-only stages: ``(encoder_time, decoder)``.
+
+        The encoder time embedding, and the decoder's timeline part: under
+        full conditioning its time embedding, under masked conditioning the
+        decoder input itself (in the univariate fold with decoder layers,
+        already through the first layer's memoized self stage).  These are
+        the only stages that touch the plan memos; ``memoize=False`` reads
+        them without inserting (the lanes of a batch run it concurrently).
+        """
         # Timestamps stay float64 down to the embedding (which differences
-        # them before casting) — see TimeEmbeddingPlan.__call__.
+        # them before casting) — see TimeEmbeddingPlan.embed.
         if long_times is None:
             long_times = self._default_long_times(batch, window)
         else:
@@ -509,24 +526,39 @@ class TemporalPlan:
             short_times = long_times[:, window - omega:]
         else:
             short_times = np.asarray(short_times, dtype=np.float64)
-
         if not self.use_short_window:
-            short_windows = long_windows
             short_times = long_times
             omega = window
+        embed = self.time_embedding.embed
+        if self.conditioning == "full":
+            return (
+                embed(long_times, memoize=memoize)[0],
+                embed(short_times, window - omega, memoize)[0],
+            )
+        encoder_time = embed(long_times[:, : window - omega], memoize=memoize)[0]
+        decoder_time, decoder_token = embed(short_times, window - omega, memoize)
+        if self.multivariate_input or not self.decoder_layers:
+            return encoder_time, decoder_time
+        return encoder_time, self._decoder_self_stage(decoder_time, decoder_token, memoize)
+
+    def reconstruct(
+        self, long_windows: np.ndarray, short_windows: np.ndarray, timeline: tuple
+    ) -> np.ndarray:
+        """The reconstruction of a batch given its :meth:`timeline`; no side effects."""
+        long_windows = np.asarray(long_windows, dtype=self.dtype)
+        short_windows = np.asarray(short_windows, dtype=self.dtype)
+        batch, variates, window = long_windows.shape
+        if not self.use_short_window:
+            short_windows = long_windows
+        omega = short_windows.shape[2]
+        encoder_time, decoder = timeline
 
         if self.conditioning == "full":
             encoder_input = self._embed_values(
-                long_windows,
-                self.encoder_embedding_w,
-                self.encoder_embedding_b,
-                self.time_embedding(long_times),
+                long_windows, self.encoder_embedding_w, self.encoder_embedding_b, encoder_time
             )
             decoder_input = self._embed_values(
-                short_windows,
-                self.decoder_embedding_w,
-                self.decoder_embedding_b,
-                self.time_embedding(short_times, position_offset=window - omega),
+                short_windows, self.decoder_embedding_w, self.decoder_embedding_b, decoder
             )
             decoded = self.decode(decoder_input, self.encode(encoder_input))
             return self.head(decoded, batch, variates)
@@ -535,27 +567,20 @@ class TemporalPlan:
             long_windows[:, :, : window - omega],
             self.encoder_embedding_w,
             self.encoder_embedding_b,
-            self.time_embedding(long_times[:, : window - omega]),
+            encoder_time,
         )
         memory = self.encode(encoder_input)
-        decoder_time, decoder_token = self.time_embedding.embed(
-            short_times, position_offset=window - omega
-        )
         if self.multivariate_input or not self.decoder_layers:
-            decoded = self.decode(self._expand_time(decoder_time, variates), memory)
+            decoded = self.decode(self._expand_time(decoder, variates), memory)
         else:
             # Masked univariate mode: the decoder input is the short-window
             # time embedding, identical for every folded variate of a window.
-            # Run the first self-attention stage once per window, then expand
-            # across variates for the cross-attention against the per-variate
-            # memory (duplicated batch rows produce duplicated bits).
-            compact = self._decoder_self_stage(decoder_time, decoder_token)
-            decoded = self.decode(
-                np.repeat(compact, variates, axis=0), memory, self_staged=True
-            )
+            # Its first self-attention stage ran once per window (see
+            # ``timeline``); expand across variates for the cross-attention
+            # against the per-variate memory (duplicated batch rows produce
+            # duplicated bits).
+            decoded = self.decode(np.repeat(decoder, variates, axis=0), memory, self_staged=True)
         return self.head(decoded, batch, variates)
-
-    __call__ = forward
 
 
 class NoisePlan:
@@ -649,27 +674,19 @@ class NoisePlan:
         return adjacency
 
     # ------------------------------------------------------------------
-    def forward(self, errors: np.ndarray, short_windows: np.ndarray) -> np.ndarray:
-        out, self.last_adjacency, self._dynamic_state = self.propagate(
-            errors, short_windows, self._dynamic_state
-        )
-        return out
-
-    __call__ = forward
-
     def propagate(
         self,
         errors: np.ndarray,
         short_windows: np.ndarray,
         dynamic_state: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Side-effect-free :meth:`forward`: reads and writes no plan state.
+        """The GCN reconstruction of a batch; reads and writes no plan state.
 
         Returns the reconstruction, the last window's adjacency (what
-        ``forward`` publishes as :attr:`last_adjacency`) and the dynamic
-        EMA state after the batch, which ``dynamic_state`` seeds.  The
-        incremental tick's lanes run this concurrently and leave publishing
-        to the calling thread.
+        :meth:`CompiledModel.publish` leaves as :attr:`last_adjacency`) and
+        the dynamic EMA state after the batch, which ``dynamic_state``
+        seeds.  Lanes run this concurrently and leave publishing to the
+        calling thread.
         """
         errors = np.asarray(errors, dtype=self.dtype)
         if errors.shape != np.shape(short_windows):
@@ -747,25 +764,53 @@ class CompiledModel:
             self.noise.reset_dynamic_state()
 
     # ------------------------------------------------------------------
-    def forward(
+    def timeline(
+        self,
+        batch: int,
+        window: int,
+        omega: int,
+        long_times: np.ndarray | None = None,
+        short_times: np.ndarray | None = None,
+        *,
+        memoize: bool = True,
+    ) -> tuple | None:
+        """The temporal plan's :meth:`TemporalPlan.timeline` (``None`` without one)."""
+        if self.temporal is None:
+            return None
+        return self.temporal.timeline(
+            batch, window, omega, long_times, short_times, memoize=memoize
+        )
+
+    def propagate(
         self,
         long_windows: np.ndarray,
         short_windows: np.ndarray,
-        long_times: np.ndarray | None = None,
-        short_times: np.ndarray | None = None,
-    ) -> CompiledForwardResult:
+        timeline: tuple | None,
+        dynamic_state: np.ndarray | None = None,
+    ) -> tuple[CompiledForwardResult, tuple | None]:
+        """Side-effect-free :meth:`forward` given the batch's :meth:`timeline`.
+
+        Returns the result and the noise plan's ``(last_adjacency,
+        dynamic_state)`` after the batch (``None`` without a noise plan),
+        which :meth:`publish` writes to the plan; ``dynamic_state`` seeds
+        the dynamic graph's recurrence.
+        """
         long_windows = np.asarray(long_windows, dtype=self.dtype)
         short_windows = np.asarray(short_windows, dtype=self.dtype)
         target = short_windows if self.use_short_window else long_windows
 
         if self.temporal is not None:
-            reconstruction = self.temporal(long_windows, short_windows, long_times, short_times)
+            reconstruction = self.temporal.reconstruct(long_windows, short_windows, timeline)
         else:
             reconstruction = np.zeros_like(target)
         errors = target - reconstruction
 
+        graph = None
         if self.noise is not None:
-            noise_reconstruction = self.noise(errors, target)
+            noise_reconstruction, adjacency, dynamic_state = self.noise.propagate(
+                errors, target, dynamic_state
+            )
+            graph = (adjacency, dynamic_state)
         else:
             noise_reconstruction = np.zeros_like(target)
 
@@ -773,13 +818,35 @@ class CompiledModel:
         # so the ``errors`` intermediate is the exact first operand.
         residual = errors - noise_reconstruction
         scores = np.abs(residual[:, :, -1])
-        return CompiledForwardResult(
+        result = CompiledForwardResult(
             reconstruction=reconstruction,
             errors=errors,
             noise_reconstruction=noise_reconstruction,
             residual=residual,
             scores=scores,
         )
+        return result, graph
+
+    def publish(self, graph: tuple | None) -> None:
+        """Leave a batch's graph diagnostics on the noise plan, as ``forward`` does."""
+        if graph is not None:
+            self.noise.last_adjacency, self.noise._dynamic_state = graph
+
+    def forward(
+        self,
+        long_windows: np.ndarray,
+        short_windows: np.ndarray,
+        long_times: np.ndarray | None = None,
+        short_times: np.ndarray | None = None,
+    ) -> CompiledForwardResult:
+        batch, _, window = np.shape(long_windows)
+        timeline = self.timeline(
+            batch, window, np.shape(short_windows)[2], long_times, short_times
+        )
+        dynamic_state = None if self.noise is None else self.noise._dynamic_state
+        result, graph = self.propagate(long_windows, short_windows, timeline, dynamic_state)
+        self.publish(graph)
+        return result
 
     __call__ = forward
 

@@ -17,6 +17,14 @@ A single stream is a one-shard fleet: :meth:`repro.core.AeroDetector.stream`
 returns ``FleetManager(detector, num_shards=1, ...)``, whose ``(1, N)``
 ticks score bit for bit what ``detector.score`` scores on the same series
 (Algorithm 2).
+
+A tick has two halves with one implementation each: *ingest* (timeline,
+missing and re-arm masks, imputation, ring append) and *finish* (masking,
+labels or per-star POT, alerts, recorder, drift).  :meth:`FleetManager.step`
+runs ingest, one forward, finish; :meth:`FleetManager.run`, the batched
+replay, ingests a block of ticks, scores all their windows in one lane
+call (:func:`repro.runtime.lanes.score_batch`) and finishes them in order —
+the trace stepping would give.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -59,6 +67,22 @@ def _check_dynamic_shards(num_shards: int) -> None:
         raise ValueError(
             "FleetManager serves graph_mode='dynamic' detectors with num_shards=1 only"
         )
+
+
+#: Windows a batched :meth:`FleetManager.run` stages and scores per block.
+_RUN_BLOCK_WINDOWS = 256
+
+
+class _Tick(NamedTuple):
+    """One ingested tick, between :meth:`FleetManager._ingest` and ``_finish``."""
+
+    step: int
+    rows: np.ndarray                  # the raw rows, for the flight recorder
+    timestamp: float | None           # as given, for the flight recorder
+    scaled: np.ndarray                # imputed, scaled rows the buffers took
+    time: float                       # the resolved timeline value
+    masked: np.ndarray | None         # scores to mask, or None
+    ready: bool                       # whether the buffers hold a full window
 
 
 @dataclass
@@ -538,25 +562,18 @@ class FleetManager:
         """
         started = time.perf_counter()
         with self._tracer.span("fleet.step"):
-            result = self._step_inner(rows, timestamp)
-        elapsed = time.perf_counter() - started
-        self._latencies.append(elapsed)
-        self._m_ticks.inc()
-        self._m_step_seconds.observe(elapsed)
-        # Model-quality observability rides after the scoring path: the
-        # recorder buffers the frame first so a drift trip's dump includes
-        # the tick that tripped it.  Both only read `result` — attaching
-        # them leaves scores, thresholds and alerts bit-identical.
-        if self.recorder is not None:
-            self.recorder.record(rows, timestamp, result)
-        if self.drift_monitor is not None:
-            with self._tracer.span("fleet.drift"):
-                newly_tripped = self.drift_monitor.update(result.scores)
-            if newly_tripped and self.recorder is not None:
-                self.recorder.trigger("drift_trip")
-        return result
+            tick = self._ingest(rows, timestamp)
+            result = self._finish(tick, self._forward(tick) if tick.ready else None)
+        return self._settle(tick, result, time.perf_counter() - started)
 
-    def _step_inner(self, rows: np.ndarray, timestamp: float | None) -> FleetStepResult:
+    def _ingest(self, rows: np.ndarray, timestamp: float | None) -> "_Tick":
+        """The causal half of a tick: everything up to the model input.
+
+        Resolves the timestamp, derives the missing and re-arm masks,
+        imputes missing rows and appends the scaled rows to the ring
+        buffers and the timeline.  Returns the tick's :class:`_Tick`; its
+        window is then the ring buffers' current view.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape != (self.num_shards, self.num_variates):
             raise ValueError(
@@ -610,7 +627,6 @@ class FleetManager:
             scaled = self._scaler.transform(rows)
             self._timeline.append(times[0])
 
-            window = self.config.window
             if any_missing:
                 # A missing star carries its last buffered (scaled) value
                 # forward, or the scaled-space origin in a cold buffer; only
@@ -625,55 +641,154 @@ class FleetManager:
             self._step += 1
             if self._telemetry:
                 self._record_tick_metrics(missing, masked, any_missing, any_masked)
+        return _Tick(
+            step_index, rows, timestamp, scaled, float(times[0]),
+            masked if any_masked else None, bool(self._buffers[0].is_full),
+        )
 
-        if not self._buffers[0].is_full:
+    def _forward(self, tick: "_Tick") -> np.ndarray:
+        """Score one ingested tick's windows: ``(num_shards, N)``."""
+        with self._tracer.span("fleet.forward"):
+            if self._incremental:
+                return self._incremental_forward(tick.scaled, tick.time)
+            self._stage(self._batch_stack, self._batch_times)
+            return self._engine.score_stack(self._batch_stack, self._batch_times)
+
+    def _stage(self, stack: np.ndarray, times: np.ndarray) -> None:
+        """Copy every shard's current window (time-major) and the timeline."""
+        window = self.config.window
+        times[...] = self._timeline.view(window)
+        for shard, buffer in enumerate(self._buffers):
+            stack[shard] = buffer.view(window)
+
+    def _finish(self, tick: "_Tick", scores: np.ndarray | None) -> FleetStepResult:
+        """The tick's outputs from its scores: masking, labels, alerts."""
+        if not tick.ready:
             scores = np.full((self.num_shards, self.num_variates), np.nan)  # repro: allow[hot-alloc] -- warm-up ticks only (buffer not yet full); results outlive the tick
             labels = np.zeros((self.num_shards, self.num_variates), dtype=np.int64)  # repro: allow[hot-alloc] -- warm-up ticks only, same as above
             return FleetStepResult(
-                step=step_index, scores=scores, labels=labels,
+                step=tick.step, scores=scores, labels=labels,
                 threshold=self.threshold, thresholds=self._current_thresholds(),
                 ready=False,
             )
-
-        with self._tracer.span("fleet.forward"):
-            if self._incremental:
-                scores = self._incremental_forward(scaled, float(times[0]))
-            else:
-                self._batch_times[:] = self._timeline.view(window)[None, :]
-                for shard, buffer in enumerate(self._buffers):
-                    self._batch_stack[shard] = buffer.view(window)
-                scores = self._engine.score_stack(self._batch_stack, self._batch_times)
-        if any_masked:
+        if tick.masked is not None:
             # An imputed window still yields a finite model output, but a
             # star that was not observed this tick — or is re-arming after a
             # dropout — has no trustworthy score: emit NaN so labels, POT
             # state and alert streaks all treat it as a gap.
             scores = scores.copy() if not scores.flags.writeable else scores  # repro: allow[hot-alloc] -- copy-on-write for masked ticks only; unmasked steady state takes the no-copy branch
-            scores[masked] = np.nan
+            scores[tick.masked] = np.nan
         with self._tracer.span("fleet.thresholds"):
+            # The SPOT decision uses the thresholds as they stood *before*
+            # this observation — snapshot them so results and alerts record
+            # the values that actually fired.
+            thresholds = self._current_thresholds()
             if self.adaptive_pot is not None:
-                # The SPOT decision uses the thresholds as they stood *before*
-                # this observation — snapshot them so results and alerts record
-                # the values that actually fired, then advance the whole fleet
-                # with one array-native update.
-                thresholds = self._current_thresholds()
+                # Advance the whole fleet with one array-native update.
                 labels = self.adaptive_pot.update(scores.ravel()).reshape(scores.shape)
             else:
-                thresholds = self._current_thresholds()
                 labels = (scores >= self.threshold).astype(np.int64)  # repro: allow[hot-alloc] -- the emitted label array must outlive the tick
         with self._tracer.span("fleet.alerts"):
             if self.adaptive_pot is not None:
                 alerts = self.alert_policy.update(
-                    step_index, scores, thresholds.ravel(), shard_width=self.num_variates
+                    tick.step, scores, thresholds.ravel(), shard_width=self.num_variates
                 )
             else:
                 alerts = self.alert_policy.update(
-                    step_index, scores, self.threshold, shard_width=self.num_variates
+                    tick.step, scores, self.threshold, shard_width=self.num_variates
                 )
         return FleetStepResult(
-            step=step_index, scores=scores, labels=labels,
+            step=tick.step, scores=scores, labels=labels,
             threshold=self.threshold, thresholds=thresholds, alerts=alerts,
         )
+
+    def _settle(self, tick: "_Tick", result: FleetStepResult, elapsed: float) -> FleetStepResult:
+        """Latency accounting, then the passive observers of a finished tick."""
+        self._latencies.append(elapsed)
+        self._m_ticks.inc()
+        self._m_step_seconds.observe(elapsed)
+        # Model-quality observability rides after the scoring path: the
+        # recorder buffers the frame first so a drift trip's dump includes
+        # the tick that tripped it.  Both only read `result` — attaching
+        # them leaves scores, thresholds and alerts bit-identical.
+        if self.recorder is not None:
+            self.recorder.record(tick.rows, tick.timestamp, result)
+        if self.drift_monitor is not None:
+            with self._tracer.span("fleet.drift"):
+                newly_tripped = self.drift_monitor.update(result.scores)
+            if newly_tripped and self.recorder is not None:
+                self.recorder.trigger("drift_trip")
+        return result
+
+    def run(self, exposures: np.ndarray, timestamps: np.ndarray | None = None) -> list[FleetStepResult]:
+        """Serve ``(T, num_shards, N)`` exposures; equal to :meth:`step` per tick.
+
+        The batched replay: ticks are ingested in blocks of at most
+        ``_RUN_BLOCK_WINDOWS // num_shards`` ticks (ring buffers, timeline,
+        imputation, missing and re-arm masks advance exactly as stepping
+        advances them), every window of a block is scored in one
+        ``score_stack`` call — on lanes when it is wide enough — and then
+        each tick is finished in order: masking, labels or per-star POT,
+        alerts, recorder, drift.  Stepping runs the same ingest and finish
+        halves, so the results, and every piece of fleet state they leave
+        behind, are those of ``step`` called once per tick (float64 scores
+        bit for bit).  A tick that ingest rejects (a bad shape or
+        timestamp) raises after the block's earlier ticks are finished, as
+        stepping would leave them.
+
+        An incremental fleet does not serve a replay from its cross-tick
+        state: ``run`` retires the state (its counts stay in
+        :meth:`incremental_stats`, which does not count replayed ticks), and
+        the next :meth:`step` rebuilds it from the ring buffers.
+        """
+        exposures = np.asarray(exposures, dtype=np.float64)
+        if exposures.ndim != 3:
+            raise ValueError("exposures must be 3-D (time, shards, variates)")
+        if self._incremental:
+            self._retire_inc_state()
+        block = max(1, _RUN_BLOCK_WINDOWS // self.num_shards)
+        results = []
+        for start in range(0, len(exposures), block):
+            stop = start + block
+            results.extend(
+                self._run_block(
+                    exposures[start:stop], None if timestamps is None else timestamps[start:stop]
+                )
+            )
+        return results
+
+    def _run_block(self, exposures: np.ndarray, timestamps) -> list[FleetStepResult]:
+        started = time.perf_counter()
+        window = self.config.window
+        stack = np.empty((len(exposures), self.num_shards, window, self.num_variates))
+        times = np.empty((len(exposures), window))
+        ticks, ready = [], 0
+        try:
+            for index, rows in enumerate(exposures):
+                tick = self._ingest(rows, None if timestamps is None else float(timestamps[index]))
+                ticks.append(tick)
+                if tick.ready:
+                    self._stage(stack[ready], times[ready])
+                    ready += 1
+        finally:
+            # Runs on a rejected tick too: the ticks before it finish first.
+            if ready:
+                with self._tracer.span("fleet.forward"):
+                    scores = self._engine.score_stack(
+                        stack[:ready].reshape(-1, window, self.num_variates),
+                        np.repeat(times[:ready], self.num_shards, axis=0),
+                    ).reshape(ready, self.num_shards, self.num_variates)
+            # Ingest and forward are shared by the block; finishing is per tick.
+            shared = (time.perf_counter() - started) / max(len(ticks), 1)
+            results, ready = [], 0
+            for tick in ticks:
+                begun = time.perf_counter()
+                tick_scores = None
+                if tick.ready:
+                    tick_scores, ready = scores[ready], ready + 1
+                result = self._finish(tick, tick_scores)
+                results.append(self._settle(tick, result, shared + time.perf_counter() - begun))
+        return results
 
     def _incremental_forward(self, scaled: np.ndarray, timestamp: float) -> np.ndarray:
         """Serve one tick from the cross-tick incremental state.
@@ -685,7 +800,6 @@ class FleetManager:
         in place and serves the same tick from the rebuilt window.
         """
         state = self._inc_state
-        window = self.config.window
         if state is not None and state.valid:
             scores = self._engine.score_stack_step(state, scaled, timestamp)
             if state.supported:
@@ -694,9 +808,8 @@ class FleetManager:
             if state is None:
                 state = self._engine.new_incremental_state(self.num_shards)
                 self._inc_state = state
-            for shard, buffer in enumerate(self._buffers):
-                self._batch_stack[shard] = buffer.view(window)
-            state.rebuild(self._batch_stack, self._timeline.view(window))
+            self._stage(self._batch_stack, self._batch_times)
+            state.rebuild(self._batch_stack, self._batch_times[0])
             scores = state.score()
             self._m_inc_rebuilds.inc()
         if not state.supported:
@@ -751,14 +864,3 @@ class FleetManager:
                 self.num_shards, self.num_variates
             ).copy()
         return np.full((self.num_shards, self.num_variates), self.threshold)
-
-    def run(self, exposures: np.ndarray, timestamps: np.ndarray | None = None) -> list[FleetStepResult]:
-        """Step through ``(T, num_shards, N)`` exposures and collect the results."""
-        exposures = np.asarray(exposures, dtype=np.float64)
-        if exposures.ndim != 3:
-            raise ValueError("exposures must be 3-D (time, shards, variates)")
-        results = []
-        for tick, rows in enumerate(exposures):
-            timestamp = None if timestamps is None else float(timestamps[tick])
-            results.append(self.step(rows, timestamp))
-        return results

@@ -28,7 +28,10 @@ may be published:
 
 Everything here is deterministic: the only randomness is the probe
 placement, drawn from a seeded generator, and the shadow fleets inherit
-the serving stack's bit-reproducibility.
+the serving stack's bit-reproducibility.  Each shadow fleet replays the
+traffic with the batched :meth:`~repro.streaming.FleetManager.run`, which
+scores every recorded window in one lane call and finishes the ticks in
+order — the trace stepping the fleet tick by tick would give.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ class ShadowTraffic:
 
     ``rows`` is the raw exposure block ``(T, num_shards, num_variates)``
     exactly as the live fleet ingested it (NaNs mark missing photometry);
-    ``timestamps`` the matching per-tick times (NaN entries mean "let the
-    stream timeline advance by cadence").  ``events`` optionally carries
+    ``timestamps`` the matching per-tick times (all NaN: ticks served
+    without timestamps, replayed on the stream's own cadence; a fleet
+    serves one timestamp mode, so a ring never mixes the two).  ``events`` optionally carries
     ground truth — any objects exposing ``star``/``start``/``end`` — and
     ``quiet_stars`` the stars known to host nothing; both are derived
     automatically (synthetic probes, live-model silence) when absent.
@@ -300,7 +304,11 @@ def score_psi(
 
 
 def _shadow_replay(detector, threshold, traffic, policy, backend):
-    """Replay the traffic through one shadow fleet; scores plus alerts."""
+    """Replay the traffic through one shadow fleet's batched ``run``; scores plus alerts.
+
+    The recorded ring keeps NaN for ticks served without a timestamp; a
+    ring of only those replays on the stream's own cadence.
+    """
     fleet = FleetManager(
         detector,
         num_shards=traffic.num_shards,
@@ -310,17 +318,12 @@ def _shadow_replay(detector, threshold, traffic, policy, backend):
         threshold=threshold,
         backend=backend,
     )
-    timestamps = traffic.timestamps
-    scores = np.empty((traffic.num_ticks, traffic.num_shards, traffic.num_variates))
-    alerts = []
-    for tick in range(traffic.num_ticks):
-        timestamp = None
-        if timestamps is not None and np.isfinite(timestamps[tick]):
-            timestamp = float(timestamps[tick])
-        result = fleet.step(traffic.rows[tick], timestamp)
-        scores[tick] = result.scores
-        alerts.extend(result.alerts)
-    return scores, alerts
+    times = traffic.timestamps
+    if times is not None and not np.isfinite(times).any():
+        times = None
+    results = fleet.run(traffic.rows, times)
+    scores = np.stack([result.scores for result in results])
+    return scores, [alert for result in results for alert in result.alerts]
 
 
 def _recall(events, scores, threshold: float, warm: int, grace: int) -> float:

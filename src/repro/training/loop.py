@@ -16,10 +16,11 @@ paper's unattended survey deployment needs:
    warm-started from the live registry artifact, on the recent traffic of
    the worst-drifting shard; the trailing ``calibration_ticks`` are held
    back and the candidate's threshold is re-fit on them with the paper's
-   POT estimator;
+   POT estimator (batch scores, :func:`held_back_scores`, on lanes);
 4. **canary** — the recorded ring is replayed through the live model and
-   the candidate in shadow (:func:`~repro.training.canary.evaluate_canary`)
-   and promotion is gated on explicit budgets: event-level recall no worse
+   the candidate in shadow (:func:`~repro.training.canary.evaluate_canary`,
+   one batched :meth:`~repro.streaming.FleetManager.run` per model, scored
+   on lanes) and promotion is gated on explicit budgets: event-level recall no worse
    than live minus epsilon (synthetic probes when the traffic carries no
    ground truth), quiet-star false alerts within budget, and the
    candidate's shadow-score PSI against its own calibration within budget;

@@ -39,7 +39,12 @@ def _fast_config(**overrides):
 
 
 def _stream_scores(stream, series):
-    """``(T, N)`` scores of a single stream (a one-shard fleet) over ``series``."""
+    """``(T, N)`` scores of a single stream (a one-shard fleet) stepped over ``series``."""
+    return np.stack([stream.step(row[None]).scores[0] for row in series])
+
+
+def _replayed_scores(stream, series):
+    """The same scores from the stream's batched ``run``."""
     return np.stack([result.scores[0] for result in stream.run(series[:, None, :])])
 
 
@@ -263,12 +268,13 @@ class TestLivePlanScoring:
         # and then advance the smoothed adjacency the stream was carrying.
         det = fitted_variants["dynamic_graph"]
         reference = _stream_scores(det.stream(backend=backend), test_series)
-        stream = det.stream(backend=backend)
         half = len(test_series) // 2
-        first = _stream_scores(stream, test_series[:half])
-        det.score(test_series[::-1])
-        rest = _stream_scores(stream, test_series[half:])
-        assert np.array_equal(reference, np.concatenate([first, rest]))
+        for scores in (_stream_scores, _replayed_scores):
+            stream = det.stream(backend=backend)
+            first = scores(stream, test_series[:half])
+            det.score(test_series[::-1])
+            rest = scores(stream, test_series[half:])
+            assert np.array_equal(reference, np.concatenate([first, rest])), scores.__name__
 
     @pytest.mark.parametrize("variant", ["full", "dynamic_graph", "static_graph"])
     def test_learned_graph_is_the_last_scored_window(
@@ -302,6 +308,8 @@ class TestStreamingOnCompiledBackend:
         stream = detector.stream(backend="compiled")
         assert stream.backend == "compiled"
         assert np.array_equal(_stream_scores(stream, test_series), batch_scores)
+        replayed = _replayed_scores(detector.stream(backend="compiled"), test_series)
+        assert np.array_equal(replayed, batch_scores)
 
     def test_stream_accepts_prebuilt_plan(self, detector, test_series):
         plan = compile_detector(detector, dtype="float32")
@@ -336,13 +344,18 @@ class TestFleetOnCompiledBackend:
         history = np.concatenate(
             [np.stack([tail] * num_shards, axis=1), detector.scaler.transform(exposures)]
         )
-        for tick, result in enumerate(compiled.run(exposures)):
+        stepped = [compiled.step(rows) for rows in exposures]
+        for tick, result in enumerate(stepped):
             longs = history[tick:tick + window].transpose(1, 2, 0)
             reference = autograd_window_scores(detector, longs, longs[:, :, window - short:])
             assert np.array_equal(reference, result.scores)
             assert np.array_equal(
                 (reference >= detector.threshold()).astype(np.int64), result.labels
             )
+        replayed = FleetManager(detector, num_shards=num_shards, alert_policy=AlertPolicy())
+        for mine, theirs in zip(replayed.run(exposures), stepped, strict=True):
+            assert np.array_equal(mine.scores, theirs.scores)
+            assert np.array_equal(mine.labels, theirs.labels)
 
     def test_fleet_from_float32_plan(self, detector, test_series):
         plan = compile_detector(detector, dtype="float32")

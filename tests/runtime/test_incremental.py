@@ -18,7 +18,7 @@ import pytest
 
 from repro import AeroConfig, AeroDetector
 from repro.core.variants import ABLATION_VARIANTS, build_variant
-from repro.runtime import compile_detector, incremental
+from repro.runtime import compile_detector, incremental, lanes
 from repro.runtime.incremental import IncrementalState
 from repro.runtime.plans import NoisePlan, TimeEmbeddingPlan
 
@@ -546,13 +546,13 @@ class TestLanes:
         # Encoder work per stack: N folded sequences x (W - omega) rows x d_model.
         per_stack = NUM_VARIATES * (WINDOW - SHORT) * 8
         enough = -(-incremental._MIN_LANE_WORK // per_stack)  # stacks for one lane's minimum
-        monkeypatch.setattr(incremental, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 4)
         assert len(IncrementalState(model, config, enough).lanes) == 1
         assert len(IncrementalState(model, config, 2 * enough).lanes) == 2
         assert len(IncrementalState(model, config, 64 * enough).lanes) == 4
-        monkeypatch.setattr(incremental, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
         assert len(IncrementalState(model, config, 64 * enough).lanes) == 1
-        monkeypatch.setattr(incremental, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 4)
         # Temporal-free models have no encoder work to split.
         gcn = compile_detector(fitted_variants["no_temporal"])
         assert len(IncrementalState(gcn.model, gcn.config, 64 * enough).lanes) == 1

@@ -234,6 +234,7 @@ class TestStreamIncrementalBackend:
         # shared with the incremental stream's cached one.
         stream_compiled = detector.stream(backend=compile_detector(detector))
         stream_incremental = detector.stream(backend="incremental")
+        replayed = detector.stream(backend="incremental")
         assert stream_incremental.backend == "incremental"
         series = scenario.train[-60:].copy()
         series[12, 1] = np.nan
@@ -243,11 +244,17 @@ class TestStreamIncrementalBackend:
         for chunk in (7, 1, 13, 5, 20, 11, 3):
             rows = series[cursor : cursor + chunk, None, :]
             cursor += chunk
-            for result_compiled, result_incremental in zip(
-                stream_compiled.run(rows), stream_incremental.run(rows)
+            # Stepped tick by tick on both backends; the batched replay of
+            # the same chunk (which retires the incremental state) agrees.
+            for result_compiled, result_incremental, result_replayed in zip(
+                [stream_compiled.step(row) for row in rows],
+                [stream_incremental.step(row) for row in rows],
+                replayed.run(rows),
+                strict=True,
             ):
                 assert result_compiled.ready == result_incremental.ready
                 _assert_results_equal(result_compiled, result_incremental, f"tick {cursor}")
+                _assert_results_equal(result_incremental, result_replayed, f"tick {cursor}")
 
     def test_hot_swap_mid_stream(self, scenario, detector, swap_detector):
         stream_compiled = detector.stream(backend=compile_detector(detector))
@@ -267,10 +274,12 @@ class TestStreamIncrementalBackend:
         # end to end (the full matrix lives in test_stream_batch_contract).
         stream_incremental = detector.stream(backend="incremental")
         series = scenario.train[-70:]
-        results = stream_incremental.run(series[:, None, :])
+        results = [stream_incremental.step(row[None]) for row in series]
         streamed = np.stack([result.scores[0] for result in results])
         batch = detector.score(series)
         assert np.array_equal(streamed, batch, equal_nan=True)
+        replayed = detector.stream(backend="incremental").run(series[:, None, :])
+        assert np.array_equal(np.stack([r.scores[0] for r in replayed]), batch, equal_nan=True)
 
     def test_adaptive_pot_rides_along(self, scenario, detector):
         stream_compiled = detector.stream(

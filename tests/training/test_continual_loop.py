@@ -455,6 +455,12 @@ class TestCompiledCalibrationAndCanary:
                     live_threshold=threshold, candidate_threshold=threshold,
                     candidate_calibration=cal_scores,
                 )
-                assert memo._next_token - tokens > memo.MAX_CACHE
+                assert memo._next_token > tokens
+                # Batch replays on lanes only read the memo, so evict it
+                # outright as well: the live fleet must not depend on it.
+                live_keys = set(memo._cache)
+                for _ in range(memo.MAX_CACHE):
+                    memo.embed(np.cumsum(rng.uniform(5.0, 50.0, size=(1, 8)), axis=1))
+                assert not live_keys & set(memo._cache)
             scores = fleet.step(rows[tick], float(times[tick])).scores
             assert np.array_equal(scores, reference[tick], equal_nan=True)
