@@ -13,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+# ``src/`` for the package; ``tests/streaming/`` for the scalar POT oracle
+# that the adaptive-threshold benchmark checks the fleet POT against.
+for _path in (_ROOT / "src", _ROOT / "tests" / "streaming"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 # Default to the smallest profile unless the user explicitly chose one.
 os.environ.setdefault("REPRO_PROFILE", "tiny")

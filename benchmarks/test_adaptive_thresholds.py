@@ -1,7 +1,8 @@
 """Benchmark S2 — per-star adaptive thresholds: vectorized vs scalar-loop POT.
 
 A 1k-star fleet served through per-star SPOT instances pays one Python
-``IncrementalPOT.update`` call per star per tick; the
+``IncrementalPOT.update`` call per star per tick (the scalar oracle of
+``tests/streaming/pot_oracle.py``); the
 :class:`~repro.streaming.VectorizedIncrementalPOT` advances the whole fleet
 with one array-native update.  This benchmark enforces the two acceptance
 criteria at production scale:
@@ -22,7 +23,9 @@ import pytest
 
 from conftest import run_once
 
-from repro.streaming import IncrementalPOT, VectorizedIncrementalPOT
+from repro.streaming import VectorizedIncrementalPOT
+
+from pot_oracle import IncrementalPOT
 
 NUM_STARS = 1000
 TICKS = 300

@@ -26,7 +26,6 @@ from .runtime import CompiledDetector, compile_detector
 from .streaming import (
     AlertPolicy,
     FleetManager,
-    IncrementalPOT,
     RingBuffer,
     StreamingService,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "compile_detector",
     "AlertPolicy",
     "FleetManager",
-    "IncrementalPOT",
     "RingBuffer",
     "StreamingService",
     "TrainingSession",

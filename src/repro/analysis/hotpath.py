@@ -111,6 +111,8 @@ HOT_PATHS: dict[str, str] = {
     "repro/obs/metrics.py::VectorGauge.set": "alloc",
     "repro/obs/metrics.py::VectorGauge.set_at": "alloc",
     "repro/obs/drift.py::DriftMonitor.update": "alloc",
+    "repro/obs/drift.py::DriftMonitor._update_moments": "alloc",
+    "repro/obs/drift.py::DriftMonitor._update_histogram": "alloc",
 }
 
 _TIERS = ("alloc", "strict")

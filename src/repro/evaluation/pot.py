@@ -99,9 +99,9 @@ def gpd_tail_thresholds(
     """Array-native ``z_q`` inversion: one threshold per (star's) GPD fit.
 
     Element ``i`` computes exactly :func:`gpd_tail_threshold` for the
-    ``i``-th fit.  Every POT variant — batch, the streaming
-    :class:`repro.streaming.IncrementalPOT` and the per-star
-    :class:`repro.streaming.VectorizedIncrementalPOT` — funnels through this
+    ``i``-th fit.  Every POT variant — batch, the per-star streaming
+    :class:`repro.streaming.VectorizedIncrementalPOT` and the scalar
+    streaming oracle its tests compare it with — funnels through this
     one ufunc-backed implementation, which keeps their thresholds
     bit-for-bit comparable (numpy's array ufuncs are element-consistent,
     whereas mixing scalar ``math``-style calls with array calls is not).
@@ -132,8 +132,8 @@ def gpd_tail_threshold(
 ) -> float:
     """Invert a fitted GPD tail into the threshold ``z_q`` (Eq. 18 core).
 
-    This is the shared final step of every POT variant (batch and the
-    streaming :class:`repro.streaming.IncrementalPOT`): given the
+    This is the shared final step of every POT variant (batch, and the
+    scalar streaming oracle of the per-star POT tests): given the
     initial threshold ``t``, a GPD fit of the excesses over ``t`` and the
     total number of observations ``n``, return
 

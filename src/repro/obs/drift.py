@@ -9,15 +9,14 @@ silently goes stale.  :class:`DriftMonitor` detects that online, per star,
 at fleet scale:
 
 * **streaming sketches in flat arrays** — every star carries an
-  exponentially-weighted mean/variance, an exponentially-weighted
-  equal-mass histogram, and P²-style streaming quantile estimators
-  (Jain & Chlamtac's five-marker algorithm, vectorised over the fleet), so
-  one :meth:`update` call per tick advances ``K`` stars with O(1) array
+  exponentially-weighted equal-mass histogram (the sketch every verdict
+  reads) and an exponentially-weighted mean/variance (operator evidence),
+  so one :meth:`update` call per tick advances ``K`` stars with O(1) array
   ops — no per-star Python loop, matching the
   :class:`~repro.streaming.vector_pot.VectorizedIncrementalPOT` discipline;
 * **a calibration-time reference** — :meth:`fit` snapshots each star's
   reference distribution (equal-mass bin edges, bin probabilities,
-  quantiles, moments) from the scores the thresholds were calibrated on;
+  moments) from the scores the thresholds were calibrated on;
   :meth:`state_dict` round-trips the snapshot so
   :meth:`repro.training.ModelRegistry.publish` can persist it as a sidecar
   and ``deploy`` can restore it next to the model it describes;
@@ -26,7 +25,9 @@ at fleet scale:
   the population stability index and a discrete Kolmogorov–Smirnov
   statistic; a star *trips* only after ``trip_after`` consecutive failing
   checks and *clears* only after ``clear_after`` consecutive passing ones,
-  so verdicts do not flap on sampling noise.
+  so verdicts do not flap on sampling noise.  :meth:`snapshot` reports
+  the live histogram mass per reference bin (``live_probs``) next to
+  ``ref_probs``, so the evidence for a trip is the numbers that decided it.
 
 Like the rest of :mod:`repro.obs`, the monitor is passive: it only ever
 *reads* the scores handed to it, so serving outputs are bit-identical with
@@ -47,9 +48,6 @@ __all__ = ["DriftMonitor", "DriftVerdict", "calibrate_drift_monitor"]
 
 logger = logging.getLogger("repro.obs.drift")
 
-#: Quantiles probed by the per-star P² estimators (median, tail, far tail).
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
-
 _STATE_SCALARS = (
     "halflife",
     "num_bins",
@@ -66,7 +64,6 @@ _STATE_SCALARS = (
 _REFERENCE_ARRAYS = (
     "ref_edges",
     "ref_probs",
-    "ref_quantiles",
     "ref_mean",
     "ref_std",
 )
@@ -104,9 +101,6 @@ class DriftMonitor:
         Exponential decay halflife, in per-star observations, of the live
         sketches (moments and histogram).  Smaller reacts faster; larger
         averages over more of the night.
-    quantiles:
-        Probe quantiles for the P² estimators (reference values are
-        snapshotted at :meth:`fit` for evidence and the KS-style shift).
     num_bins:
         Equal-mass reference bins of the PSI histogram.
     psi_trip / psi_clear, ks_trip / ks_clear:
@@ -140,7 +134,6 @@ class DriftMonitor:
     def __init__(
         self,
         halflife: float = 128.0,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
         num_bins: int = 8,
         psi_trip: float = 0.25,
         psi_clear: float = 0.10,
@@ -157,9 +150,6 @@ class DriftMonitor:
             raise ValueError("halflife must be positive")
         if num_bins < 2:
             raise ValueError("num_bins must be at least 2")
-        quantiles = tuple(float(q) for q in quantiles)
-        if not quantiles or any(not 0.0 < q < 1.0 for q in quantiles):
-            raise ValueError("quantiles must be in (0, 1)")
         if psi_clear > psi_trip or ks_clear > ks_trip:
             raise ValueError("clear bounds must not exceed trip bounds (hysteresis)")
         if check_interval < 1 or trip_after < 1 or clear_after < 1:
@@ -169,7 +159,6 @@ class DriftMonitor:
         if warmup_ticks < 0:
             raise ValueError("warmup_ticks must be non-negative")
         self.halflife = float(halflife)
-        self.quantiles = quantiles
         self.num_bins = int(num_bins)
         self.psi_trip = float(psi_trip)
         self.psi_clear = float(psi_clear)
@@ -185,7 +174,6 @@ class DriftMonitor:
         # Calibration-time reference (None until fit).
         self.ref_edges: np.ndarray | None = None      # (K, B-1) interior edges
         self.ref_probs: np.ndarray | None = None      # (K, B)
-        self.ref_quantiles: np.ndarray | None = None  # (Q, K)
         self.ref_mean: np.ndarray | None = None       # (K,)
         self.ref_std: np.ndarray | None = None        # (K,)
 
@@ -210,20 +198,7 @@ class DriftMonitor:
         against the live monitor's trip thresholds.  Telemetry sinks are
         not included; the rebuilt monitor captures its own.
         """
-        return {
-            "halflife": self.halflife,
-            "quantiles": self.quantiles,
-            "num_bins": self.num_bins,
-            "psi_trip": self.psi_trip,
-            "psi_clear": self.psi_clear,
-            "ks_trip": self.ks_trip,
-            "ks_clear": self.ks_clear,
-            "check_interval": self.check_interval,
-            "trip_after": self.trip_after,
-            "clear_after": self.clear_after,
-            "min_observations": self.min_observations,
-            "warmup_ticks": self.warmup_ticks,
-        }
+        return {name: getattr(self, name) for name in _STATE_SCALARS}
 
     @property
     def num_stars(self) -> int:
@@ -251,11 +226,6 @@ class DriftMonitor:
     def first_trip_step(self) -> np.ndarray:
         """Per-star tick index of the first trip (``-1`` = never tripped)."""
         return self._first_trip_step
-
-    @property
-    def live_quantiles(self) -> np.ndarray:
-        """Current P² quantile estimates, ``(Q, K)`` (NaN while initialising)."""
-        return self._p2_heights[:, :, 2].copy()
 
     @property
     def live_mean(self) -> np.ndarray:
@@ -299,7 +269,6 @@ class DriftMonitor:
         bins = self.num_bins
         edges = np.empty((count, bins - 1))
         probs = np.empty((count, bins))
-        ref_quantiles = np.empty((len(self.quantiles), count))
         ref_mean = np.empty(count)
         ref_std = np.empty(count)
         interior = np.arange(1, bins) / bins
@@ -312,19 +281,16 @@ class DriftMonitor:
             # values make it deviate from the ideal 1/B).
             assignments = np.searchsorted(edges[star], row, side="right")
             probs[star] = np.bincount(assignments, minlength=bins) / row.size
-            ref_quantiles[:, star] = np.quantile(row, self.quantiles)
             ref_mean[star] = row.mean()
             ref_std[star] = row.std()
         self.ref_edges = edges
         self.ref_probs = probs
-        self.ref_quantiles = ref_quantiles
         self.ref_mean = ref_mean
         self.ref_std = ref_std
         self._reset_live_state(count)
         return self
 
     def _reset_live_state(self, count: int) -> None:
-        num_q = len(self.quantiles)
         self._counts = np.zeros((count, self.num_bins))
         self._ew_mean = np.zeros(count)
         self._ew_var = np.zeros(count)
@@ -338,36 +304,6 @@ class DriftMonitor:
         self.last_psi = np.zeros(count)
         self.last_ks = np.zeros(count)
         self.last_verdict: DriftVerdict | None = None
-        # P² marker state: heights/positions/desired are (Q, K, 5); the
-        # first five finite observations per star seed the markers.
-        self._p2_heights = np.full((num_q, count, 5), np.nan)
-        self._p2_positions = np.tile(
-            np.arange(1.0, 6.0), (num_q, count, 1)
-        )
-        q = np.asarray(self.quantiles)[:, None, None]
-        marks = np.concatenate(
-            [
-                np.ones((num_q, 1, 1)),
-                1.0 + 2.0 * q,
-                1.0 + 4.0 * q,
-                3.0 + 2.0 * q,
-                np.full((num_q, 1, 1), 5.0),
-            ],
-            axis=2,
-        )
-        self._p2_desired = np.tile(marks, (1, count, 1))
-        self._p2_increments = np.concatenate(
-            [
-                np.zeros((num_q, 1, 1)),
-                q / 2.0,
-                q,
-                (1.0 + q) / 2.0,
-                np.ones((num_q, 1, 1)),
-            ],
-            axis=2,
-        )
-        self._init_buffer = np.empty((count, 5))
-        self._init_count = np.zeros(count, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # the per-tick hot path
@@ -394,7 +330,6 @@ class DriftMonitor:
         if observed.any():
             self._update_moments(flat, observed)
             self._update_histogram(flat, observed)
-            self._update_p2(flat, observed)
             self._num_observations += observed
         if self._ticks % self.check_interval == 0:
             return self._check()
@@ -423,70 +358,17 @@ class DriftMonitor:
         self._counts[stars] *= self._decay
         self._counts[stars, bins] += 1.0
 
-    def _update_p2(self, flat: np.ndarray, observed: np.ndarray) -> None:
-        counts_before = self._init_count.copy()
-        seeding = observed & (counts_before < 5)
-        if seeding.any():
-            stars = np.flatnonzero(seeding)
-            self._init_buffer[stars, counts_before[stars]] = flat[stars]
-            self._init_count[stars] += 1
-            done = stars[self._init_count[stars] == 5]
-            if done.size:
-                self._p2_heights[:, done, :] = np.sort(self._init_buffer[done], axis=1)[
-                    None, :, :
-                ]
-        active = observed & (counts_before >= 5)
-        if not active.any():
-            return
-        h = self._p2_heights
-        n = self._p2_positions
-        x = flat[None, :]                              # (1, K) broadcasting over Q
-        act = active[None, :]                          # (1, K)
-        below = act & (x < h[:, :, 0])
-        h[:, :, 0] = np.where(below, x, h[:, :, 0])
-        above = act & (x > h[:, :, 4])
-        h[:, :, 4] = np.where(above, x, h[:, :, 4])
-        cell = (
-            (x >= h[:, :, 1]).astype(np.int64)
-            + (x >= h[:, :, 2])
-            + (x >= h[:, :, 3])
-        )                                              # (Q, K) in 0..3
-        bump = np.arange(5)[None, None, :] > cell[:, :, None]
-        n += np.where(act[:, :, None] & bump, 1.0, 0.0)
-        self._p2_desired += np.where(act[:, :, None], self._p2_increments, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in (1, 2, 3):
-                d = self._p2_desired[:, :, i] - n[:, :, i]
-                move = act & (
-                    ((d >= 1.0) & (n[:, :, i + 1] - n[:, :, i] > 1.0))
-                    | ((d <= -1.0) & (n[:, :, i - 1] - n[:, :, i] < -1.0))
-                )
-                sign = np.sign(d)
-                span = n[:, :, i + 1] - n[:, :, i - 1]
-                parabolic = h[:, :, i] + (sign / span) * (
-                    (n[:, :, i] - n[:, :, i - 1] + sign)
-                    * (h[:, :, i + 1] - h[:, :, i])
-                    / (n[:, :, i + 1] - n[:, :, i])
-                    + (n[:, :, i + 1] - n[:, :, i] - sign)
-                    * (h[:, :, i] - h[:, :, i - 1])
-                    / (n[:, :, i] - n[:, :, i - 1])
-                )
-                keeps_order = (h[:, :, i - 1] < parabolic) & (parabolic < h[:, :, i + 1])
-                go_up = sign > 0
-                neighbor_h = np.where(go_up, h[:, :, i + 1], h[:, :, i - 1])
-                neighbor_n = np.where(go_up, n[:, :, i + 1], n[:, :, i - 1])
-                linear = h[:, :, i] + sign * (neighbor_h - h[:, :, i]) / (
-                    neighbor_n - n[:, :, i]
-                )
-                adjusted = np.where(keeps_order, parabolic, linear)
-                h[:, :, i] = np.where(move, adjusted, h[:, :, i])
-                n[:, :, i] = np.where(move, n[:, :, i] + sign, n[:, :, i])
-
     # ------------------------------------------------------------------
     # divergence + hysteresis
     # ------------------------------------------------------------------
     def divergence(self) -> tuple[np.ndarray, np.ndarray]:
         """Current per-star ``(psi, ks)`` of live histogram vs reference."""
+        psi, ks, _ = self._divergence()
+        return psi, ks
+
+    def _divergence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(psi, ks, live)``: ``live`` is the ``(K, B)`` smoothed live mass
+        per reference bin that both statistics compare against ``ref_probs``."""
         if self.ref_probs is None:
             raise RuntimeError("DriftMonitor must be fitted before divergence")
         totals = self._counts.sum(axis=1, keepdims=True)
@@ -498,7 +380,7 @@ class DriftMonitor:
         empty = totals[:, 0] <= 0.0
         psi[empty] = 0.0
         ks[empty] = 0.0
-        return psi, ks
+        return psi, ks, live
 
     def _check(self) -> int:
         psi, ks = self.divergence()
@@ -547,20 +429,25 @@ class DriftMonitor:
     # evidence + persistence
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Per-star evidence arrays for dashboards and post-mortems."""
-        psi, ks = self.divergence()
+        """Per-star evidence arrays for dashboards and post-mortems.
+
+        ``live_probs`` is the ``(K, B)`` live histogram mass per reference
+        bin that ``psi`` and ``ks`` were computed from, beside the
+        ``ref_probs`` it is compared with.
+        """
+        psi, ks, live = self._divergence()
         return {
             "psi": psi,
             "ks": ks,
             "tripped": self._tripped.copy(),
             "first_trip_step": self._first_trip_step.copy(),
             "num_observations": self._num_observations.copy(),
+            "live_probs": live,
+            "ref_probs": self.ref_probs.copy(),
             "live_mean": self.live_mean,
             "live_std": self.live_std,
-            "live_quantiles": self.live_quantiles,
             "ref_mean": self.ref_mean.copy(),
             "ref_std": self.ref_std.copy(),
-            "ref_quantiles": self.ref_quantiles.copy(),
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -575,66 +462,40 @@ class DriftMonitor:
         """
         if self.ref_probs is None:
             raise RuntimeError("fit the reference before exporting state")
-        return {
-            "halflife": np.asarray(self.halflife),
-            "num_bins": np.asarray(self.num_bins, dtype=np.int64),
-            "quantiles": np.asarray(self.quantiles),
-            "psi_trip": np.asarray(self.psi_trip),
-            "psi_clear": np.asarray(self.psi_clear),
-            "ks_trip": np.asarray(self.ks_trip),
-            "ks_clear": np.asarray(self.ks_clear),
-            "check_interval": np.asarray(self.check_interval, dtype=np.int64),
-            "trip_after": np.asarray(self.trip_after, dtype=np.int64),
-            "clear_after": np.asarray(self.clear_after, dtype=np.int64),
-            "min_observations": np.asarray(self.min_observations, dtype=np.int64),
-            "warmup_ticks": np.asarray(self.warmup_ticks, dtype=np.int64),
-            "ref_edges": self.ref_edges.copy(),
-            "ref_probs": self.ref_probs.copy(),
-            "ref_quantiles": self.ref_quantiles.copy(),
-            "ref_mean": self.ref_mean.copy(),
-            "ref_std": self.ref_std.copy(),
-        }
+        # Settings are Python floats and ints: 0-d arrays that npz round-trips.
+        state = {name: np.asarray(value) for name, value in self.settings().items()}
+        for name in _REFERENCE_ARRAYS:
+            state[name] = getattr(self, name).copy()
+        return state
 
     @classmethod
     def from_state_dict(cls, state: dict, registry=None) -> "DriftMonitor":
-        """Rebuild a monitor from :meth:`state_dict` output (or an npz)."""
-        missing = [
-            key
-            for key in (*_STATE_SCALARS, "quantiles", *_REFERENCE_ARRAYS)
-            if key not in state
-        ]
+        """Rebuild a monitor from :meth:`state_dict` output (or an npz).
+
+        Keys that are not settings or reference arrays are ignored, so
+        sidecars that still carry the retired ``quantiles`` and
+        ``ref_quantiles`` entries load unchanged.
+        """
+        missing = [key for key in (*_STATE_SCALARS, *_REFERENCE_ARRAYS) if key not in state]
         if missing:
             raise ValueError(f"drift state is missing keys: {missing}")
         monitor = cls(
-            halflife=float(state["halflife"]),
-            quantiles=tuple(np.asarray(state["quantiles"], dtype=np.float64)),
-            num_bins=int(state["num_bins"]),
-            psi_trip=float(state["psi_trip"]),
-            psi_clear=float(state["psi_clear"]),
-            ks_trip=float(state["ks_trip"]),
-            ks_clear=float(state["ks_clear"]),
-            check_interval=int(state["check_interval"]),
-            trip_after=int(state["trip_after"]),
-            clear_after=int(state["clear_after"]),
-            min_observations=int(state["min_observations"]),
-            warmup_ticks=int(state["warmup_ticks"]),
+            **{name: np.asarray(state[name]).item() for name in _STATE_SCALARS},
             registry=registry,
         )
-        edges = np.asarray(state["ref_edges"], dtype=np.float64)
-        probs = np.asarray(state["ref_probs"], dtype=np.float64)
-        quantiles = np.asarray(state["ref_quantiles"], dtype=np.float64)
-        if edges.ndim != 2 or probs.ndim != 2 or quantiles.ndim != 2:
-            raise ValueError("drift reference arrays must be 2-D")
-        counts = {edges.shape[0], probs.shape[0], quantiles.shape[1]}
+        edges, probs, mean, std = (
+            np.array(state[name], dtype=np.float64) for name in _REFERENCE_ARRAYS
+        )
+        if edges.ndim != 2 or probs.ndim != 2 or mean.ndim != 1 or std.ndim != 1:
+            raise ValueError("drift reference edges/probs must be 2-D and mean/std 1-D")
+        counts = {edges.shape[0], probs.shape[0], mean.shape[0], std.shape[0]}
         if len(counts) != 1:
             raise ValueError(f"drift reference arrays disagree on the star count: {counts}")
         if probs.shape[1] != monitor.num_bins or edges.shape[1] != monitor.num_bins - 1:
             raise ValueError("drift reference bin geometry does not match num_bins")
-        monitor.ref_edges = edges.copy()
-        monitor.ref_probs = probs.copy()
-        monitor.ref_quantiles = quantiles.copy()
-        monitor.ref_mean = np.asarray(state["ref_mean"], dtype=np.float64).copy()
-        monitor.ref_std = np.asarray(state["ref_std"], dtype=np.float64).copy()
+        monitor.ref_edges, monitor.ref_probs, monitor.ref_mean, monitor.ref_std = (
+            edges, probs, mean, std
+        )
         monitor._reset_live_state(edges.shape[0])
         return monitor
 

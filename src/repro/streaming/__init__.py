@@ -8,11 +8,9 @@ system:
 
 * :mod:`~repro.streaming.buffer` — :class:`RingBuffer`, contiguous O(1)
   appends with zero-copy sliding-window views;
-* :mod:`~repro.streaming.online_pot` — :class:`IncrementalPOT`, streaming
-  POT thresholding with periodic GPD tail re-fits;
 * :mod:`~repro.streaming.vector_pot` — :class:`VectorizedIncrementalPOT`,
-  per-star adaptive thresholds for a whole fleet in one array-native
-  update per tick (bit-equal to independent scalar instances);
+  per-star streaming POT thresholds (SPOT with periodic GPD tail re-fits)
+  for a whole fleet in one array-native update per tick;
 * :mod:`~repro.streaming.fleet` — :class:`FleetManager`, sharded multi-star
   serving that micro-batches score steps through one vectorised model call;
   a single stream (``AeroDetector.stream()``) is a one-shard fleet, scoring
@@ -24,7 +22,6 @@ system:
 """
 
 from .buffer import RingBuffer
-from .online_pot import IncrementalPOT
 from .vector_pot import VectorizedIncrementalPOT, calibrate_adaptive_pot
 from .alerts import Alert, AlertPolicy
 from .fleet import FleetManager, FleetStepResult
@@ -32,7 +29,6 @@ from .service import ServiceStats, StreamingService
 
 __all__ = [
     "RingBuffer",
-    "IncrementalPOT",
     "VectorizedIncrementalPOT",
     "calibrate_adaptive_pot",
     "Alert",

@@ -1,13 +1,14 @@
 """Array-native per-star POT thresholding for fleet serving.
 
-The paper calibrates its POT threshold *per star*, but serving a fleet of
-``K = num_shards * N`` stars through ``K`` scalar
-:class:`~repro.streaming.online_pot.IncrementalPOT` instances costs one
+The paper calibrates its POT threshold *per star* with SPOT (Siffer et al.,
+KDD 2017): freeze an initial threshold at a high calibration quantile, keep
+the excesses above it, re-fit a GPD to them now and then and refresh the
+final threshold in closed form as observations arrive.  Serving a fleet of
+``K = num_shards * N`` stars through ``K`` scalar SPOT objects costs one
 Python call per star per tick — the per-star loop dominates the tick long
 before the model forward pass does.  :class:`VectorizedIncrementalPOT`
-maintains the same state as ``K`` independent scalar instances in flat
-arrays and advances the whole fleet with **one** :meth:`update` call per
-tick:
+keeps every star's SPOT state in flat arrays and advances the whole fleet
+with **one** :meth:`update` call per tick:
 
 * per-star initial thresholds, observation counts, GPD parameters and
   final thresholds are ``(K,)`` arrays;
@@ -19,15 +20,16 @@ tick:
   vectorised over the fleet;
 * GPD re-fits stay *staggered*: each star re-fits only every
   ``refit_interval`` of **its own** new excesses, so a tick re-fits the few
-  stars whose counters rolled over — the expensive grid search remains
-  amortised exactly as in the scalar class.
+  stars whose counters rolled over — the expensive grid search stays
+  amortised.
 
-Equivalence contract: a fleet advanced through :meth:`update` is
-**bit-for-bit identical** to ``K`` independent scalar ``IncrementalPOT``
-instances fed the same per-star score streams (same thresholds, alarms,
-observation counts, excess sets and re-fit cadence) — asserted in
-``tests/streaming/test_vector_pot.py`` and at 1k-star scale in
-``benchmarks/test_adaptive_thresholds.py``.
+Equivalence contract: a fleet calibrated by :meth:`fit` and advanced
+through :meth:`update` is **bit-for-bit identical** to ``K`` independent
+scalar SPOT instances fed the same per-star score streams (same thresholds,
+alarms, observation counts, excess sets and re-fit cadence).  The scalar
+oracle lives with the tests (``tests/streaming/pot_oracle.py``); the
+contract is asserted in ``tests/streaming/test_vector_pot.py`` and at
+1k-star scale in ``benchmarks/test_adaptive_thresholds.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from ..evaluation.pot import fit_gpd, gpd_tail_thresholds
 from ..obs.metrics import get_registry
-from .online_pot import IncrementalPOT
 
 logger = logging.getLogger("repro.streaming.pot")
 
@@ -63,16 +64,26 @@ _STATE_ARRAYS = (
 class VectorizedIncrementalPOT:
     """Per-star streaming POT over a whole fleet, one array op per tick.
 
-    Parameters match :class:`~repro.streaming.online_pot.IncrementalPOT`;
-    they are shared by every star (state is per star, hyperparameters are
-    fleet-wide).
+    Parameters
+    ----------
+    q:
+        Target tail probability (paper: 1e-3).
+    level:
+        Initial-threshold quantile of the calibration scores (paper: 0.99).
+    refit_interval:
+        New excesses, per star, between that star's GPD re-fits; 1 recovers
+        SPOT's fit-on-every-excess behaviour.
+    max_excesses:
+        Optional cap on each star's retained excess set (oldest dropped
+        first, together with a matching share of its observation count).
 
-    Calibration (:meth:`fit`) accepts either a 1-D score array — one shared
-    calibration broadcast to ``num_stars`` stars, the train-once /
-    serve-many fleet shape — or a ``(num_stars, T)`` array with one
-    calibration stream per star.  Calibration runs the *scalar* class per
-    distinct stream (a one-off cost); only the per-tick :meth:`update` path
-    must be, and is, loop-free over stars.
+    The parameters are shared by every star (state is per star,
+    hyperparameters are fleet-wide).  Calibration (:meth:`fit`) accepts
+    either a 1-D score array — one shared calibration broadcast to
+    ``num_stars`` stars, the train-once / serve-many fleet shape — or a
+    ``(num_stars, T)`` array with one calibration stream per star.  It
+    loops over distinct streams (a one-off cost); only the per-tick
+    :meth:`update` path must be, and is, loop-free over stars.
     """
 
     def __init__(
@@ -82,14 +93,18 @@ class VectorizedIncrementalPOT:
         refit_interval: int = 32,
         max_excesses: int | None = None,
     ):
-        # Reuse the scalar validation so both classes reject the same inputs.
-        probe = IncrementalPOT(
-            q=q, level=level, refit_interval=refit_interval, max_excesses=max_excesses
-        )
-        self.q = probe.q
-        self.level = probe.level
-        self.refit_interval = probe.refit_interval
-        self.max_excesses = probe.max_excesses
+        if not 0.0 < q < 1.0:
+            raise ValueError("q must be in (0, 1)")
+        if not 0.0 < level < 1.0:
+            raise ValueError("level must be in (0, 1)")
+        if refit_interval < 1:
+            raise ValueError("refit_interval must be at least 1")
+        if max_excesses is not None and max_excesses < 8:
+            raise ValueError("max_excesses must be at least 8")
+        self.q = q
+        self.level = level
+        self.refit_interval = refit_interval
+        self.max_excesses = max_excesses
 
         self.initial_thresholds: np.ndarray | None = None
         self.thresholds: np.ndarray | None = None
@@ -138,31 +153,42 @@ class VectorizedIncrementalPOT:
         if scores.ndim == 1:
             if num_stars is None or num_stars <= 0:
                 raise ValueError("1-D calibration scores need an explicit positive num_stars")
-            reference = self._scalar_template().fit(scores)
-            self._adopt([reference] * num_stars)
+            self._adopt([self._calibrate(scores)] * num_stars)
         elif scores.ndim == 2:
             if num_stars is not None and num_stars != scores.shape[0]:
                 raise ValueError(
                     f"num_stars={num_stars} does not match calibration rows {scores.shape[0]}"
                 )
-            self._adopt([self._scalar_template().fit(row) for row in scores])
+            self._adopt([self._calibrate(row) for row in scores])
         else:
             raise ValueError("calibration scores must be 1-D (shared) or 2-D (per star)")
         return self
 
-    def _scalar_template(self) -> IncrementalPOT:
-        return IncrementalPOT(
-            q=self.q,
-            level=self.level,
-            refit_interval=self.refit_interval,
-            max_excesses=self.max_excesses,
-        )
+    def _calibrate(self, scores: np.ndarray) -> tuple:
+        """One star's SPOT calibration: ``(initial, excesses, n, fit)``.
 
-    def _adopt(self, pots: list[IncrementalPOT]) -> None:
-        """Take over the state of fitted scalar instances, one per star."""
-        count = len(pots)
+        The excesses are taken in stream order, as if pushed one at a time:
+        under ``max_excesses`` every push past the cap drops the oldest
+        excess and rescales ``n`` once, exactly as :meth:`update` trims.
+        """
+        if scores.size < 10:
+            raise ValueError("POT calibration needs at least 10 scores per star")
+        initial = float(np.quantile(scores, self.level))
+        excesses = scores[scores > initial] - initial
+        observations = int(scores.size)
+        keep = self.max_excesses
+        if keep is not None and excesses.size > keep:
+            for _ in range(excesses.size - keep):
+                observations = max(int(round(observations * keep / (keep + 1))), keep)
+            excesses = excesses[-keep:]
+        fit = fit_gpd(excesses) if excesses.size else None
+        return initial, excesses, observations, fit
+
+    def _adopt(self, calibrations: list[tuple]) -> None:
+        """Lay out per-star :meth:`_calibrate` results as the fleet state."""
+        count = len(calibrations)
         capacity = _MIN_POOL_CAPACITY
-        most = max((pot.num_excesses for pot in pots), default=0)
+        most = max((excesses.size for _, excesses, _, _ in calibrations), default=0)
         while capacity < most:
             capacity *= 2
         self._pool = np.zeros((count, capacity), dtype=np.float64)
@@ -174,19 +200,17 @@ class VectorizedIncrementalPOT:
         self._has_fit = np.zeros(count, dtype=bool)
         self.num_refits = np.zeros(count, dtype=np.int64)
         self.initial_thresholds = np.zeros(count, dtype=np.float64)
-        self.thresholds = np.zeros(count, dtype=np.float64)
-        for star, pot in enumerate(pots):
-            self._counts[star] = pot.num_excesses
-            self._pool[star, : pot.num_excesses] = pot._excesses[: pot.num_excesses]
-            self._num_observations[star] = pot.num_observations
-            self._since_refit[star] = pot._excesses_since_refit
-            self.num_refits[star] = pot.num_refits
-            self.initial_thresholds[star] = pot.initial_threshold
-            self.thresholds[star] = pot.threshold
-            if pot._fit is not None:
+        for star, (initial, excesses, observations, fit) in enumerate(calibrations):
+            self._counts[star] = excesses.size
+            self._pool[star, : excesses.size] = excesses
+            self._num_observations[star] = observations
+            self.initial_thresholds[star] = initial
+            if fit is not None:
                 self._has_fit[star] = True
-                self._shapes[star] = pot._fit.shape
-                self._scales[star] = pot._fit.scale
+                self._shapes[star] = fit.shape
+                self._scales[star] = fit.scale
+                self.num_refits[star] = 1
+        self._recompute_thresholds()
 
     def tile(self, reps: int) -> "VectorizedIncrementalPOT":
         """A new instance with every star's state repeated ``reps`` times.
@@ -223,19 +247,18 @@ class VectorizedIncrementalPOT:
     def update(self, scores: np.ndarray) -> np.ndarray:
         """Ingest one score per star; returns the int64 alarm flags.
 
-        Semantics per star are exactly :meth:`IncrementalPOT.update`: scores
-        above the star's final threshold are anomalies (flagged, not added
-        to the tail model); scores between the star's initial and final
-        thresholds enrich its excess set and may trigger its staggered GPD
-        re-fit; every star's closed-form threshold is refreshed for the
-        grown observation count.  Input of any shape is accepted and the
-        alarms are returned in the same shape.
+        Semantics per star are SPOT's: scores above the star's final
+        threshold are anomalies (flagged, not added to the tail model);
+        scores between the star's initial and final thresholds enrich its
+        excess set and may trigger its staggered GPD re-fit; every star's
+        closed-form threshold is refreshed for the grown observation count.
+        Input of any shape is accepted and the alarms are returned in the
+        same shape.
 
         A non-finite score marks a star with *no observation* this tick (a
         masked survey gap); that star's state — observation count, excess
         set, re-fit cadence and threshold — is left exactly as it was and no
-        alarm is raised, matching the scalar class's no-op on NaN.  The other
-        stars advance normally.
+        alarm is raised.  The other stars advance normally.
         """
         if self.thresholds is None or self.initial_thresholds is None:
             raise RuntimeError("VectorizedIncrementalPOT must be fitted before update")
@@ -254,8 +277,8 @@ class VectorizedIncrementalPOT:
             self._since_refit[stars] += 1
             due = stars[self._since_refit[stars] >= self.refit_interval]
             # Staggered re-fits: only the (few) stars whose own counter rolled
-            # over pay the grid search this tick, exactly as in the scalar
-            # class — and through the very same fit_gpd, keeping bit-equality.
+            # over pay the grid search this tick, through the same fit_gpd as
+            # calibration, keeping bit-equality with the scalar oracle.
             for star in due:
                 try:
                     fit = fit_gpd(self._pool[star, : self._counts[star]])
@@ -291,7 +314,7 @@ class VectorizedIncrementalPOT:
         over = stars[self._counts[stars] > keep]
         if not over.size:
             return
-        # Mirror the scalar sliding-calibration rescale bit for bit:
+        # The sliding-calibration rescale, bit for bit as in _calibrate:
         # n <- max(round(n * keep / count), keep) with the *pre-trim* count
         # (banker's rounding, like Python's round()).  One update pushes at
         # most one excess per star, so the trim always drops exactly the

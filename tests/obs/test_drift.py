@@ -41,8 +41,6 @@ def test_constructor_rejects_bad_settings():
     for bad in (
         dict(halflife=0.0),
         dict(num_bins=1),
-        dict(quantiles=()),
-        dict(quantiles=(0.5, 1.0)),
         dict(psi_trip=0.1, psi_clear=0.2),
         dict(ks_trip=0.1, ks_clear=0.2),
         dict(check_interval=0),
@@ -90,19 +88,23 @@ def test_fit_snapshots_per_star_reference():
 # ---------------------------------------------------------------------------
 # streaming sketches
 # ---------------------------------------------------------------------------
-def test_p2_quantiles_track_numpy_quantiles():
+def test_stationary_stream_live_histogram_converges_to_reference():
     rng = np.random.default_rng(7)
-    monitor = DriftMonitor(
-        quantiles=(0.5, 0.9, 0.99), min_observations=16, warmup_ticks=0
-    ).fit(_reference(rng), num_stars=2)
+    monitor = DriftMonitor(halflife=512.0, min_observations=16, warmup_ticks=0).fit(
+        _reference(rng, size=4096), num_stars=2
+    )
     samples = rng.normal(0.0, 1.0, size=(4000, 2))
     for row in samples:
         monitor.update(row)
-    live = monitor.live_quantiles                      # (Q, K)
-    expected = np.quantile(samples, (0.5, 0.9, 0.99), axis=0)
-    # P² is an approximation; on 4000 N(0,1) draws it lands within a few
-    # percent of the exact empirical quantiles even at the 0.99 tail.
-    np.testing.assert_allclose(live, expected, atol=0.15)
+    evidence = monitor.snapshot()
+    live = evidence["live_probs"]                      # (K, B)
+    assert live.shape == monitor.ref_probs.shape
+    np.testing.assert_allclose(live.sum(axis=1), 1.0)
+    np.testing.assert_array_equal(evidence["ref_probs"], monitor.ref_probs)
+    # The EW histogram holds ~2.9 x halflife ~ 1480 effective draws, so a
+    # bin mass of 1/8 carries a sampling error of ~0.009; edges estimated
+    # from 4096 reference draws add ~0.005.  0.05 is five of those.
+    np.testing.assert_allclose(live, monitor.ref_probs, atol=0.05)
     assert np.all(np.abs(monitor.live_mean) < 0.1)
     np.testing.assert_allclose(monitor.live_std, 1.0, atol=0.15)
 
@@ -196,17 +198,16 @@ def test_quiet_sampling_noise_stays_below_default_bounds():
 def test_state_dict_round_trips(tmp_path):
     rng = np.random.default_rng(8)
     monitor = DriftMonitor(
-        halflife=17.0, quantiles=(0.25, 0.75), num_bins=6, psi_trip=0.4,
+        halflife=17.0, num_bins=6, psi_trip=0.4,
         check_interval=3, min_observations=11, warmup_ticks=5,
     ).fit(rng.normal(size=(3, 300)))
     state = monitor.state_dict()
     restored = DriftMonitor.from_state_dict(state)
     assert restored.halflife == monitor.halflife
-    assert restored.quantiles == monitor.quantiles
     assert restored.num_bins == monitor.num_bins
     assert restored.warmup_ticks == monitor.warmup_ticks
     assert restored.min_observations == monitor.min_observations
-    for name in ("ref_edges", "ref_probs", "ref_quantiles", "ref_mean", "ref_std"):
+    for name in ("ref_edges", "ref_probs", "ref_mean", "ref_std"):
         np.testing.assert_array_equal(getattr(restored, name), getattr(monitor, name))
     # Live sketches start fresh: only the calibration reference travels.
     assert restored.num_observations.sum() == 0
@@ -229,10 +230,29 @@ def test_from_state_dict_validates():
     mismatched["ref_edges"] = state["ref_edges"][:1]
     with pytest.raises(ValueError, match="disagree on the star count"):
         DriftMonitor.from_state_dict(mismatched)
+    for name in ("ref_mean", "ref_std"):
+        short = dict(state)
+        short[name] = state[name][:1]
+        with pytest.raises(ValueError, match="disagree on the star count"):
+            DriftMonitor.from_state_dict(short)
     wrong_bins = dict(state)
     wrong_bins["num_bins"] = np.asarray(4, dtype=np.int64)
     with pytest.raises(ValueError, match="bin geometry"):
         DriftMonitor.from_state_dict(wrong_bins)
+
+
+def test_from_state_dict_ignores_retired_quantile_keys():
+    # Sidecars published before the quantile sketch was retired still carry
+    # its probe quantiles and reference quantiles; they load unchanged.
+    rng = np.random.default_rng(12)
+    monitor = DriftMonitor().fit(rng.normal(size=(2, 200)))
+    legacy = monitor.state_dict()
+    legacy["quantiles"] = np.asarray((0.5, 0.9, 0.99))
+    legacy["ref_quantiles"] = np.zeros((3, 2))
+    restored = DriftMonitor.from_state_dict(legacy)
+    assert restored.settings() == monitor.settings()
+    np.testing.assert_array_equal(restored.ref_edges, monitor.ref_edges)
+    assert not hasattr(restored, "ref_quantiles")
 
 
 def test_calibrate_tiles_variate_references_across_shards():

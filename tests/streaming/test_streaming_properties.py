@@ -9,7 +9,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.streaming import IncrementalPOT, RingBuffer, VectorizedIncrementalPOT
+from repro.streaming import RingBuffer, VectorizedIncrementalPOT
+
+from pot_oracle import IncrementalPOT
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 

@@ -1,11 +1,13 @@
-"""VectorizedIncrementalPOT: bit-equality with scalar instances, the
-max_excesses sliding-calibration path, state persistence and calibration
-helpers."""
+"""VectorizedIncrementalPOT: bit-equality with the scalar oracle
+(``pot_oracle.IncrementalPOT``), the max_excesses sliding-calibration path,
+state persistence and calibration helpers."""
 
 import numpy as np
 import pytest
 
-from repro.streaming import IncrementalPOT, VectorizedIncrementalPOT
+from repro.streaming import VectorizedIncrementalPOT
+
+from pot_oracle import IncrementalPOT
 
 
 def scalar_fleet(num_stars, calibration, **kwargs):
@@ -59,6 +61,35 @@ class TestBitEquality:
         np.testing.assert_array_equal(
             vec.initial_thresholds, [pot.initial_threshold for pot in scalars]
         )
+
+    @pytest.mark.parametrize("max_excesses", [None, 8, 24])
+    def test_calibration_state_matches_scalar_fit(self, max_excesses):
+        # level=0.5 leaves hundreds of calibration excesses, so a capped fit
+        # trims the observation count hundreds of times in a row.
+        rng = np.random.default_rng(10)
+        rows = rng.exponential(size=(3, 500)) * (1.0 + np.arange(3)[:, None])
+        kwargs = dict(level=0.5, max_excesses=max_excesses)
+        per_star = VectorizedIncrementalPOT(**kwargs).fit(rows)
+        shared = VectorizedIncrementalPOT(**kwargs).fit(rows[0], num_stars=2)
+        for vec, scalars in (
+            (per_star, [IncrementalPOT(**kwargs).fit(row) for row in rows]),
+            (shared, scalar_fleet(2, rows[0], **kwargs)),
+        ):
+            np.testing.assert_array_equal(vec.thresholds, [p.threshold for p in scalars])
+            np.testing.assert_array_equal(
+                vec.initial_thresholds, [p.initial_threshold for p in scalars]
+            )
+            np.testing.assert_array_equal(
+                vec.num_observations, [p.num_observations for p in scalars]
+            )
+            np.testing.assert_array_equal(vec.num_excesses, [p.num_excesses for p in scalars])
+            np.testing.assert_array_equal(vec.num_refits, [p.num_refits for p in scalars])
+            for star, pot in enumerate(scalars):
+                np.testing.assert_array_equal(
+                    vec._pool[star, : vec._counts[star]], pot._excesses[: pot.num_excesses]
+                )
+                assert vec._shapes[star] == pot._fit.shape
+                assert vec._scales[star] == pot._fit.scale
 
     def test_anomalies_are_excluded_from_the_tail_model(self):
         rng = np.random.default_rng(2)
@@ -166,8 +197,14 @@ class TestCalibrationHelpers:
             VectorizedIncrementalPOT().fit(rng.exponential(size=(2, 100)), num_stars=3)
         with pytest.raises(ValueError):
             VectorizedIncrementalPOT().fit(rng.exponential(size=(2, 2, 100)))
-        with pytest.raises(ValueError):
-            VectorizedIncrementalPOT(q=0.0)
+        with pytest.raises(ValueError, match="at least 10"):
+            VectorizedIncrementalPOT().fit(rng.exponential(size=9), num_stars=2)
+        for bad in (
+            dict(q=0.0), dict(q=1.0), dict(level=0.0), dict(level=1.0),
+            dict(refit_interval=0), dict(max_excesses=7),
+        ):
+            with pytest.raises(ValueError):
+                VectorizedIncrementalPOT(**bad)
         fitted = VectorizedIncrementalPOT().fit(rng.exponential(size=100), num_stars=2)
         with pytest.raises(ValueError):
             fitted.update(np.zeros(3))
